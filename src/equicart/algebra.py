@@ -2,9 +2,15 @@
 
 Rationals, multivariate polynomials in the torus variables u_1..u_n (graded by
 twice the polynomial degree, so each u_i sits in cohomological degree 2),
-rational functions with cross-multiplication equality, exact linear algebra
-over the rationals and over the fraction field (fraction-free Bareiss
-elimination), and Smith normal form over the univariate ring Q[u].
+rational functions with cross-multiplication equality, and Smith normal form
+over the univariate ring Q[u].
+
+All exact linear algebra (ranks, solutions for many right-hand sides, kernels,
+determinants) goes through one sparse, row-incremental, fraction-free
+(Bareiss) echelon core, ``Echelon``, over two coefficient domains: Q with
+Fraction entries, and Q[u_1..u_n] with Polynomial entries, into which rows over
+the fraction field are cleared.  ``rank_rational``, ``solve_rational``,
+``rank_and_solve`` and ``determinant`` are entry points over it.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import truediv
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -645,31 +652,179 @@ def identity_matrix(n: int, one, zero):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+# -- the exact echelon core ----------------------------------------------------
+
+
+class Echelon:
+    """Sparse, row-incremental, fraction-free echelon form (Bareiss 1968).
+
+    The one elimination of the library.  It runs over Q (``torus_rank``
+    None: Fraction entries, exact division ``/``) or over Q[u_1..u_n]
+    (Polynomial entries, exact division ``poly_exact_div``); a row with
+    RationalFunction entries is cleared into Q[u] by the product of its
+    distinct denominators.
+
+    Rows are dicts column -> nonzero entry.  Columns ``0..ncols-1`` are the
+    matrix; the ``nrhs`` columns after them are right-hand sides, which
+    follow the row operations but never hold a pivot.
+
+    A new row is reduced against the pivot rows in the order they were
+    added, and its leading nonzero becomes its pivot, so the pivot columns
+    are those of column-major elimination (an invariant of the row space).
+    Pivot row k holds the k x k minors of the first k independent rows on
+    the first k pivot columns, which makes every step
+    ``row <- (p_k * row - row[c_k] * pivot_row_k) / p`` exact (Sylvester's
+    identity), with p the pivot of the last step that touched the row: a
+    step that does not touch a row leaves it as it is, and a new pivot row
+    takes the scale of the steps since then.  Back substitution uses each
+    pivot row as reduced, before that scale, whose entries are smaller.
+    """
+
+    def __init__(self, ncols: int, torus_rank: Optional[int] = None, nrhs: int = 0):
+        self.ncols = ncols
+        self.nrhs = nrhs
+        self.torus_rank = torus_rank
+        if torus_rank is None:
+            self._zero, self._one, self._div = Fraction(0), Fraction(1), truediv
+        else:
+            self._zero, self._one = Polynomial.zero(torus_rank), Polynomial.one(torus_rank)
+            self._div = poly_exact_div
+        self._field_zero = self._field(self._zero)
+        self._pivots: list = []  # (pivot column, row, row as reduced), in order
+        self._last = self._one  # pivot of the newest pivot row
+        self._cleared = self._one  # product of the scales that cleared rows
+        self._inconsistent: set = set()  # right-hand sides a dependent row kept
+        self._rows_added = 0
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def add_row(self, row) -> bool:
+        """Reduce a row (dict or sequence of width ncols + nrhs) against the
+        pivot rows; True when it extends the span and becomes a pivot row."""
+        self._rows_added += 1
+        v = self._entries(row)
+        zero, div, prev = self._zero, self._div, self._one
+        for col, pivot_row, _ in self._pivots:
+            head = v.pop(col, None)
+            if head is None:
+                continue
+            p = pivot_row[col]
+            out = {}
+            for j, x in v.items():
+                y = pivot_row.get(j)
+                if y is None:
+                    out[j] = div(p * x, prev)
+                else:
+                    t = p * x - head * y
+                    if t != zero:
+                        out[j] = div(t, prev)
+            for j, y in pivot_row.items():
+                if j != col and j not in v:
+                    out[j] = div(-(head * y), prev)
+            v, prev = out, p
+        lead = min((j for j in v if j < self.ncols), default=None)
+        if lead is None:
+            self._inconsistent.update(v)
+            return False
+        scaled = v
+        if prev is not self._last:
+            scaled = {j: div(x * self._last, prev) for j, x in v.items()}
+        self._pivots.append((lead, scaled, v))
+        self._last = scaled[lead]
+        return True
+
+    def _entries(self, row) -> dict:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        n = self.torus_rank
+        if n is None:
+            return {j: _as_fraction(x) for j, x in items if x != 0}
+        out: dict = {}
+        denominators: dict = {}  # distinct, in order of appearance
+        for j, x in items:
+            if isinstance(x, (Polynomial, RationalFunction)):
+                if x.torus_rank != n:
+                    raise ValueError(f"rank mismatch: {x.torus_rank} vs {n}")
+                if x.is_zero:
+                    continue
+                if isinstance(x, RationalFunction) and not x.is_polynomial:
+                    denominators[x.denominator] = None
+            else:
+                x = _as_fraction(x)
+                if x == 0:
+                    continue
+                x = Polynomial.constant(n, x)
+            out[j] = x
+        scale = self._one
+        for d in denominators:
+            scale = scale * d
+        if denominators:
+            self._cleared = self._cleared * scale
+        return {
+            j: x.numerator * poly_exact_div(scale, x.denominator)
+            if isinstance(x, RationalFunction)
+            else x * scale
+            for j, x in out.items()
+        }
+
+    def _field(self, x):
+        return x if self.torus_rank is None else RationalFunction(x)
+
+    def _back_substitute(self, x: dict, rhs: Optional[int]) -> tuple:
+        """Complete x, which holds the free variables, so that every pivot
+        row holds with right-hand-side column ``rhs`` (None: zero).  A pivot
+        row is zero on the pivot columns of the rows added before it, so the
+        newest row goes first."""
+        for col, _, row in reversed(self._pivots):
+            known = [j for j in row if j in x]
+            if rhs not in row and not known:
+                continue  # this variable is zero
+            acc = self._field(row[rhs]) if rhs in row else self._field_zero
+            for j in known:
+                acc = acc - self._field(row[j]) * x[j]
+            x[col] = acc / self._field(row[col])
+        return tuple(x.get(j, self._field_zero) for j in range(self.ncols))
+
+    def solve(self) -> list:
+        """Per right-hand side b, the solution of M x = b whose free variables
+        are zero, or None when b is inconsistent.  Entries are Fractions over
+        Q and RationalFunctions over Q[u]."""
+        return [
+            None if rhs in self._inconsistent else self._back_substitute({}, rhs)
+            for rhs in range(self.ncols, self.ncols + self.nrhs)
+        ]
+
+    def kernel(self) -> list:
+        """Kernel basis: per free column, the vector with that variable 1 and
+        the other free variables 0."""
+        pivot_cols = {item[0] for item in self._pivots}
+        return [
+            self._back_substitute({free: self._field(self._one)}, None)
+            for free in range(self.ncols)
+            if free not in pivot_cols
+        ]
+
+    def det(self):
+        """Determinant of the square matrix made of the added rows."""
+        if self._rows_added != self.ncols:
+            raise ValueError("determinant requires a square matrix")
+        if self.rank < self.ncols:
+            return self._field_zero
+        cols = [item[0] for item in self._pivots]
+        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+        value = self._last if inversions % 2 == 0 else -self._last
+        if self.torus_rank is None:
+            return value
+        return RationalFunction(value, self._cleared)
+
+
 def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of Fractions by plain Gaussian elimination."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank of a matrix of Fractions."""
+    echelon = Echelon(len(rows[0]) if rows else 0)
+    for row in rows:
+        echelon.add_row(row)
+    return echelon.rank
 
 
 def solve_rational(
@@ -679,42 +834,11 @@ def solve_rational(
 
     Returns None when the system is inconsistent.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(r) + [bi] for r, bi in zip(rows, b)]
-    if nrows == 0:
-        return [Fraction(0)] * ncols
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if m[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(nrows):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * c for a, c in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for i in range(rank, nrows):
-        if m[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return x
-
-
-# -- fraction-free elimination over the fraction field ---------------------
+    echelon = Echelon(len(rows[0]) if rows else 0, nrhs=1)
+    for row, bi in zip(rows, b):
+        echelon.add_row(list(row) + [bi])
+    solution = echelon.solve()[0]
+    return None if solution is None else list(solution)
 
 
 @dataclass(frozen=True)
@@ -734,43 +858,6 @@ def _entry_rank(entries: Iterable) -> Optional[int]:
     return None
 
 
-def _bareiss_echelon(rows: list) -> tuple:
-    """Fraction-free (Bareiss) echelon form of a Polynomial matrix.
-
-    Returns (echelon rows, pivot column list).  Intermediate entries stay
-    polynomial: each 2x2-determinant step divides exactly by the previous
-    pivot, which bounds coefficient growth without leaving the ring.
-    """
-    if not rows or not rows[0]:
-        return [list(r) for r in rows], []
-    n = rows[0][0].torus_rank
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    prev = Polynomial.one(n)
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if not m[i][col].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for i in range(rank + 1, nrows):
-            head = m[i][col]
-            for j in range(ncols):
-                m[i][j] = poly_exact_div(pv * m[i][j] - head * m[rank][j], prev)
-        prev = pv
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return m, pivots
-
-
 def rank_and_solve(
     matrix: Sequence[Sequence],
     b: Optional[Sequence] = None,
@@ -781,9 +868,9 @@ def rank_and_solve(
     consistent (reduced-echelon particular solution: free variables zero),
     and a kernel basis.
 
-    Entries may be Fraction, Polynomial, or RationalFunction.  Rows are
-    cleared of denominators and the elimination itself is fraction-free.
-    ``cols`` disambiguates the width of a matrix with no rows.
+    Entries may be Fraction, Polynomial, or RationalFunction; the solution
+    and kernel entries are RationalFunctions.  ``cols`` disambiguates the
+    width of a matrix with no rows.
     """
     rows = [list(r) for r in matrix]
     nrows = len(rows)
@@ -794,70 +881,16 @@ def rank_and_solve(
         raise ValueError(f"b has length {len(b)}, expected {nrows}")
     if torus_rank is None:
         flat = [e for row in rows for e in row] + (list(b) if b else [])
-        torus_rank = _entry_rank(flat)
-        if torus_rank is None:
-            torus_rank = 0
-    n = torus_rank
-
-    def as_rf(x):
-        return RationalFunction.coerce(x, n)
-
-    rf_rows = [[as_rf(x) for x in row] for row in rows]
-    rf_b = [as_rf(x) for x in b] if b is not None else None
-
-    # Clear denominators rowwise so Bareiss runs in the polynomial ring; the
-    # right-hand side scales with its row, which preserves the solution set.
-    poly_rows = []
-    poly_b = []
-    for i in range(nrows):
-        scale = Polynomial.one(n)
-        row_entries = rf_rows[i] + ([rf_b[i]] if rf_b is not None else [])
-        for e in row_entries:
-            scale = scale * e.denominator
-        prow = [(e * scale).as_polynomial() for e in rf_rows[i]]
-        poly_rows.append(prow)
-        if rf_b is not None:
-            poly_b.append((rf_b[i] * scale).as_polynomial())
-
-    augmented = [
-        row + ([poly_b[i]] if b is not None else []) for i, row in enumerate(poly_rows)
-    ]
-    echelon, pivots = _bareiss_echelon(augmented)
-    rank = len([c for c in pivots if c < ncols])
-    consistent = b is None or all(c < ncols for c in pivots)
-
-    zero = RationalFunction.zero(n)
-    one = RationalFunction.one(n)
-    mat_pivots = [c for c in pivots if c < ncols]
-
-    def back_substitute(x: list, rhs_col: Optional[int]) -> list:
-        for r in range(len(mat_pivots) - 1, -1, -1):
-            col = mat_pivots[r]
-            acc = as_rf(echelon[r][rhs_col]) if rhs_col is not None else zero
-            for j in range(col + 1, ncols):
-                e = echelon[r][j]
-                if not e.is_zero:
-                    acc = acc - as_rf(e) * x[j]
-            x[col] = acc / as_rf(echelon[r][col])
-        return x
-
-    solution = None
-    if b is not None and consistent:
-        solution = tuple(back_substitute([zero] * ncols, ncols))
-
-    kernel = []
-    pivot_set = set(mat_pivots)
-    for free_col in range(ncols):
-        if free_col in pivot_set:
-            continue
-        x = [zero] * ncols
-        x[free_col] = one
-        kernel.append(tuple(back_substitute(x, None)))
+        torus_rank = _entry_rank(flat) or 0
+    echelon = Echelon(ncols, torus_rank, nrhs=0 if b is None else 1)
+    for i, row in enumerate(rows):
+        echelon.add_row(row if b is None else row + [b[i]])
+    solution = None if b is None else echelon.solve()[0]
     return SolveResult(
-        rank=rank,
-        consistent=consistent,
+        rank=echelon.rank,
+        consistent=b is None or solution is not None,
         solution=solution,
-        kernel=tuple(kernel),
+        kernel=tuple(echelon.kernel()),
     )
 
 
@@ -868,26 +901,10 @@ def determinant(matrix: Sequence[Sequence], torus_rank: Optional[int] = None):
         raise ValueError("determinant requires a square matrix")
     if torus_rank is None:
         torus_rank = _entry_rank(e for row in matrix for e in row) or 0
-    m = [[RationalFunction.coerce(x, torus_rank) for x in row] for row in matrix]
-    det = RationalFunction.one(torus_rank)
-    for col in range(n_rows):
-        pivot = None
-        for i in range(col, n_rows):
-            if not m[i][col].is_zero:
-                pivot = i
-                break
-        if pivot is None:
-            return RationalFunction.zero(torus_rank)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = RationalFunction.one(torus_rank) / m[col][col]
-        for i in range(col + 1, n_rows):
-            if not m[i][col].is_zero:
-                f = m[i][col] * inv
-                m[i] = [a - f * c for a, c in zip(m[i], m[col])]
-    return det
+    echelon = Echelon(n_rows, torus_rank)
+    for row in matrix:
+        echelon.add_row(row)
+    return echelon.det()
 
 
 # -- specialization ----------------------------------------------------------

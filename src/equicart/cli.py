@@ -32,7 +32,7 @@ from .algebra import (
     generic_specialized_rank,
     invariant_factors,
     matmul,
-    rank_rational,
+    rank_and_solve,
     smith_normal_form,
 )
 
@@ -365,16 +365,7 @@ def _classify_matrix(args) -> Tuple[int, dict]:
         for i in range(len(d_mat))
         for j in range(len(d_mat[0]) if d_mat else 0)
     )
-    constant = all(
-        all(entry.cohomological_degree() in (0, None) for entry in row)
-        for row in matrix
-    )
-    if constant:
-        specialized = rank_rational(
-            [[e.terms.get((0,), Fraction(0)) for e in row] for row in matrix]
-        )
-    else:
-        specialized = generic_specialized_rank(matrix, seed=args.seed)
+    specialized = generic_specialized_rank(matrix, seed=args.seed)
     ranks_agree = specialized == len(factors)
     payload = {
         "rows": len(matrix),
@@ -405,7 +396,7 @@ def _cmd_pairing(args) -> Tuple[int, dict]:
         "model": model.name,
         "basis": list(pairing.names),
         "matrix": _matrix_strings(pairing.matrix),
-        "rank": rank_rational(rows) if rows else 0,
+        "rank": rank_and_solve(rows, torus_rank=model.torus_rank).rank,
     }
     return 0, payload
 

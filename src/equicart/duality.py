@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
+    Echelon,
     MatrixF,
     Polynomial,
     RationalFunction,
@@ -135,12 +136,7 @@ def duality_check(model: InvariantModel) -> DualityReport:
     defective model (wrong integration functional or product table)."""
     cohomology = cohomology_generic(model)
     pairing = pairing_matrix(model, cohomology)
-    if pairing.matrix.rows == 0:
-        rank = 0
-    else:
-        rank = rank_and_solve(
-            pairing.matrix.row_lists(), torus_rank=model.torus_rank
-        ).rank
+    rank = rank_and_solve(pairing.matrix.row_lists(), torus_rank=model.torus_rank).rank
     return DualityReport(
         model_name=model.name,
         pairing_rank=rank,
@@ -290,19 +286,20 @@ def _kernel_basis_graded(
 
 
 def _solve_in_basis(
-    basis: List[List[Polynomial]], target: List[Polynomial]
-) -> List[Polynomial]:
-    """Coordinates of target in a free-module basis; exact, must land in the
-    polynomial ring."""
-    rows = [[basis[j][i] for j in range(len(basis))] for i in range(len(target))]
-    result = rank_and_solve(rows, b=list(target), torus_rank=1, cols=len(basis))
-    if not result.consistent or result.solution is None:
-        raise AssertionError("vector does not lie in the span of the basis")
+    basis: List[List[Polynomial]], targets: List[List[Polynomial]], length: int
+) -> List[List[Polynomial]]:
+    """Coordinates of each target (a vector of the given length) in a
+    free-module basis; exact, must land in the polynomial ring."""
+    echelon = Echelon(len(basis), torus_rank=1, nrhs=len(targets))
+    for i in range(length):
+        echelon.add_row([b[i] for b in basis] + [t[i] for t in targets])
     out = []
-    for value in result.solution:
-        if not value.is_polynomial:
+    for solution in echelon.solve():
+        if solution is None:
+            raise AssertionError("vector does not lie in the span of the basis")
+        if not all(value.is_polynomial for value in solution):
             raise AssertionError("non-polynomial coordinate in a module basis")
-        out.append(value.as_polynomial())
+        out.append([value.as_polynomial() for value in solution])
     return out
 
 
@@ -321,12 +318,10 @@ def _parity_presentation(
         _column_degree(col, gen_degrees, f"kernel column {j}")
         for j, col in enumerate(kernel)
     ]
+    targets = [[a_in[i][j] for i in range(len(indices))] for j in range(in_count)]
+    targets = [t for t in targets if not all(entry.is_zero for entry in t)]
     relations: List[List[Polynomial]] = [[] for _ in kernel]
-    for j in range(in_count):
-        target = [a_in[i][j] for i in range(len(indices))]
-        if all(entry.is_zero for entry in target):
-            continue
-        coords = _solve_in_basis(kernel, target)
+    for coords in _solve_in_basis(kernel, targets, len(indices)):
         for row, value in zip(relations, coords):
             row.append(value)
     return degrees, relations
@@ -366,17 +361,15 @@ def presentation_from_model(model: InvariantModel) -> ModulePresentation:
 
 def _inverse_unimodular(u: List[List[Polynomial]]) -> List[List[Polynomial]]:
     size = len(u)
-    out = [[Polynomial.zero(1)] * size for _ in range(size)]
-    for j in range(size):
-        rhs = [Polynomial.one(1) if i == j else Polynomial.zero(1) for i in range(size)]
-        result = rank_and_solve(u, b=rhs, torus_rank=1, cols=size)
-        if not result.consistent or result.solution is None:
-            raise AssertionError("unimodular matrix failed to invert")
-        for i, value in enumerate(result.solution):
-            if not value.is_polynomial:
-                raise AssertionError("inverse of a unimodular matrix not polynomial")
-            out[i][j] = value.as_polynomial()
-    return out
+    echelon = Echelon(size, torus_rank=1, nrhs=size)
+    for i, row in enumerate(u):
+        echelon.add_row(list(row) + [int(i == j) for j in range(size)])
+    columns = echelon.solve()
+    if any(column is None for column in columns):
+        raise AssertionError("unimodular matrix failed to invert")
+    if not all(value.is_polynomial for column in columns for value in column):
+        raise AssertionError("inverse of a unimodular matrix not polynomial")
+    return [[columns[j][i].as_polynomial() for j in range(size)] for i in range(size)]
 
 
 def classify_presentation(p: ModulePresentation) -> ModuleClassification:

@@ -24,10 +24,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     DEFAULT_SEED,
+    Echelon,
     Polynomial,
     RationalFunction,
     monomials,
-    rank_and_solve,
     rank_rational,
 )
 from .euler import FixedPointDatum
@@ -624,32 +624,25 @@ def _vector_of(element_terms: Mapping[int, Coefficient], indices: Sequence[int],
     ]
 
 
+def _echelon(rows, width: int, torus_rank: Optional[int]) -> Echelon:
+    echelon = Echelon(width, torus_rank)
+    for row in rows:
+        echelon.add_row(row)
+    return echelon
+
+
 def _independent_mod_image(
-    image_cols: List[List[RationalFunction]],
-    candidates: List[List[RationalFunction]],
-    want: int,
+    image: Echelon, candidates: Sequence[Sequence[Coefficient]], want: int
 ) -> List[int]:
-    """Indices of candidates that extend the image span, greedily."""
+    """Indices of candidates that extend the image span, greedily; the
+    chosen candidates are added to ``image``."""
     chosen: List[int] = []
-    stack = [list(col) for col in image_cols]
-    base_rank = rank_and_solve(_transpose_cols(stack)).rank if stack else 0
-    current = base_rank
     for idx, cand in enumerate(candidates):
-        trial = stack + [list(cand)]
-        r = rank_and_solve(_transpose_cols(trial)).rank
-        if r > current:
+        if image.add_row(cand):
             chosen.append(idx)
-            stack = trial
-            current = r
         if len(chosen) == want:
             break
     return chosen
-
-
-def _transpose_cols(cols: List[List[RationalFunction]]) -> List[List[RationalFunction]]:
-    if not cols:
-        return []
-    return [[col[i] for col in cols] for i in range(len(cols[0]))]
 
 
 def cohomology_generic(model: InvariantModel) -> GenericCohomology:
@@ -661,29 +654,18 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
     """
     even, odd, a_eo, a_oe = cartan_parity_matrices(model)
     n = model.torus_rank
-    res_eo = rank_and_solve(a_eo, cols=len(even), torus_rank=n)
-    res_oe = rank_and_solve(a_oe, cols=len(odd), torus_rank=n)
-    even_rank = len(even) - res_eo.rank - res_oe.rank
-    odd_rank = len(odd) - res_oe.rank - res_eo.rank
+
+    def image(matrix, width: int, source_len: int) -> Echelon:
+        # the columns of the matrix span its image
+        columns = ([matrix[i][j] for i in range(width)] for j in range(source_len))
+        return _echelon(columns, width, n)
+
+    im_e = image(a_oe, len(even), len(odd))
+    im_o = image(a_eo, len(odd), len(even))
+    even_rank = len(even) - im_o.rank - im_e.rank
+    odd_rank = len(odd) - im_e.rank - im_o.rank
     if even_rank < 0 or odd_rank < 0:
         raise AssertionError("negative generic rank; model invalid")
-
-    def image_cols(matrix, source_len):
-        cols = []
-        for j in range(source_len):
-            cols.append(
-                [RationalFunction.coerce(matrix[i][j], n) for i in range(len(matrix))]
-            )
-        rank = rank_and_solve(matrix, cols=source_len, torus_rank=n).rank
-        # prune to an independent spanning subset
-        kept: List[List[RationalFunction]] = []
-        for col in cols:
-            if len(kept) == rank:
-                break
-            trial = kept + [col]
-            if rank_and_solve(_transpose_cols(trial)).rank > len(kept):
-                kept.append(col)
-        return kept
 
     reps: List[Tuple[str, EquivariantElement]] = []
 
@@ -700,9 +682,7 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
             if all(model.generators[i].degree % 2 == 1 for i in raw)
         ]
         if len(named_even) == even_rank and len(named_odd) == odd_rank:
-            im_e = image_cols(a_oe, len(odd))
             cand_e = [_vector_of(raw, even, n) for _, raw in named_even]
-            im_o = image_cols(a_eo, len(even))
             cand_o = [_vector_of(raw, odd, n) for _, raw in named_odd]
             ok_e = _independent_mod_image(im_e, cand_e, even_rank)
             ok_o = _independent_mod_image(im_o, cand_o, odd_rank)
@@ -711,11 +691,10 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
                     reps.append((nm, EquivariantElement(model, dict(raw))))
                 return GenericCohomology(even_rank, odd_rank, tuple(reps))
 
-    def computed_reps(a_out, a_in, indices, rank, prefix):
+    def computed_reps(a_out, a_in, indices, in_len, rank, prefix):
         out = []
-        kernel = rank_and_solve(a_out, cols=len(indices), torus_rank=n).kernel
-        im = image_cols(a_in, len(a_in[0]) if a_in and a_in[0] else 0)
-        chosen = _independent_mod_image(im, [list(v) for v in kernel], rank)
+        kernel = _echelon(a_out, len(indices), n).kernel()
+        chosen = _independent_mod_image(image(a_in, len(indices), in_len), kernel, rank)
         for count, idx in enumerate(chosen):
             terms = {
                 gen_idx: kernel[idx][pos]
@@ -725,8 +704,8 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
             out.append((f"{prefix}{count}", EquivariantElement(model, terms)))
         return out
 
-    reps.extend(computed_reps(a_eo, a_oe, even, even_rank, "even_"))
-    reps.extend(computed_reps(a_oe, a_eo, odd, odd_rank, "odd_"))
+    reps.extend(computed_reps(a_eo, a_oe, even, len(odd), even_rank, "even_"))
+    reps.extend(computed_reps(a_oe, a_eo, odd, len(even), odd_rank, "odd_"))
     if len(reps) != even_rank + odd_rank:
         raise AssertionError("failed to assemble independent representatives")
     return GenericCohomology(even_rank, odd_rank, tuple(reps))
@@ -751,32 +730,33 @@ def _slice_basis(model: InvariantModel, k: int) -> List[Tuple[tuple, int]]:
     return out
 
 
-def _slice_matrix(
+def _slice_rows(
     model: InvariantModel,
     basis_k: List[Tuple[tuple, int]],
     basis_next: List[Tuple[tuple, int]],
-) -> List[List[Fraction]]:
+) -> List[Dict[int, Fraction]]:
+    """d_T on the degree-k slice as sparse rows: row p is the image of
+    basis_k[p] in basis_next (the transpose of the map, of the same rank)."""
     index_next = {key: pos for pos, key in enumerate(basis_next)}
-    n = model.torus_rank
     size = len(model.generators)
-    rows = [[Fraction(0)] * len(basis_k) for _ in range(len(basis_next))]
-    for col, (exps, g) in enumerate(basis_k):
+    # per source generator g: (variable index or None for d, h, entry)
+    terms: List[list] = [[] for _ in range(size)]
+    for shift, matrix in [(None, model.d)] + list(enumerate(model.contractions)):
         for h in range(size):
-            coeff = model.d[h][g]
-            if coeff != 0:
-                pos = index_next.get((exps, h))
-                if pos is not None:
-                    rows[pos][col] += coeff
-        for i in range(n):
-            for h in range(size):
-                coeff = model.contractions[i][h][g]
-                if coeff != 0:
-                    bumped = tuple(
-                        e + 1 if v == i else e for v, e in enumerate(exps)
-                    )
-                    pos = index_next.get((bumped, h))
-                    if pos is not None:
-                        rows[pos][col] += coeff
+            for g in range(size):
+                if matrix[h][g] != 0:
+                    terms[g].append((shift, h, matrix[h][g]))
+    rows = []
+    for exps, g in basis_k:
+        row: Dict[int, Fraction] = {}
+        for shift, h, coeff in terms[g]:
+            target = exps
+            if shift is not None:
+                target = tuple(e + 1 if v == shift else e for v, e in enumerate(exps))
+            pos = index_next.get((target, h))
+            if pos is not None:
+                row[pos] = row.get(pos, 0) + coeff
+        rows.append(row)
     return rows
 
 
@@ -789,8 +769,8 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
     bases = [_slice_basis(model, k) for k in range(cutoff + 2)]
     ranks = []
     for k in range(cutoff + 1):
-        matrix = _slice_matrix(model, bases[k], bases[k + 1])
-        ranks.append(rank_rational(matrix) if matrix and matrix[0] else 0)
+        rows = _slice_rows(model, bases[k], bases[k + 1])
+        ranks.append(_echelon(rows, len(bases[k + 1]), None).rank)
     table = []
     for k in range(cutoff + 1):
         dim_k = len(bases[k])
@@ -829,7 +809,7 @@ def underlying_cohomology_dims(model: InvariantModel) -> List[int]:
         rows = [
             [model.d[h][g] for g in by_degree[k]] for h in by_degree.get(k + 1, [])
         ]
-        ranks[k] = rank_rational(rows) if rows and rows[0] else 0
+        ranks[k] = rank_rational(rows)
     dims = []
     for k in range(top + 1):
         incoming = ranks.get(k - 1, 0)

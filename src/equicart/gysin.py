@@ -22,12 +22,12 @@ from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import (
+    Echelon,
     MatrixF,
     Polynomial,
     RationalFunction,
     matmul,
     rank_and_solve,
-    solve_rational,
 )
 from .duality import Pairing, duality_check, pairing_matrix
 from .euler import FixedPointDatum
@@ -303,21 +303,16 @@ class GysinMatrix:
 
 def _invert_pairing(pairing: Pairing, torus_rank: int) -> List[List[RationalFunction]]:
     size = pairing.matrix.rows
-    zero = RationalFunction.constant(torus_rank, 0)
-    one = RationalFunction.constant(torus_rank, 1)
-    rows = pairing.matrix.row_lists()
-    inverse: List[List[RationalFunction]] = [[zero] * size for _ in range(size)]
-    for j in range(size):
-        rhs = [one if i == j else zero for i in range(size)]
-        result = rank_and_solve(rows, b=rhs, torus_rank=torus_rank, cols=size)
-        if not result.consistent or result.solution is None:
-            raise DecompositionError(
-                f"pairing of {pairing.model_name!r} is singular; "
-                "the model's integration or products are defective"
-            )
-        for i, value in enumerate(result.solution):
-            inverse[i][j] = value
-    return inverse
+    echelon = Echelon(size, torus_rank, nrhs=size)
+    for i, row in enumerate(pairing.matrix.row_lists()):
+        echelon.add_row(row + [int(i == j) for j in range(size)])
+    columns = echelon.solve()
+    if any(column is None for column in columns):
+        raise DecompositionError(
+            f"pairing of {pairing.model_name!r} is singular; "
+            "the model's integration or products are defective"
+        )
+    return [[columns[j][i] for j in range(size)] for i in range(size)]
 
 
 def gysin_localized(f: ModelMap) -> GysinMatrix:
@@ -551,29 +546,27 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
             break
         component_degree = k - 2 * j
         domain = _degree_slice(model, component_degree) if component_degree >= 0 else []
+        image_slice = _degree_slice(model, component_degree + 1)
+        items = sorted(rhs.items())
+        # one elimination of d: domain -> image slice for every monomial
+        echelon = Echelon(len(domain), nrhs=len(items))
+        for h in image_slice:
+            echelon.add_row(
+                [model.d[h][g] for g in domain] + [vec.get(h, 0) for _, vec in items]
+            )
         solved: Dict[tuple, Dict[int, Fraction]] = {}
-        for exps, vec in sorted(rhs.items()):
-            image_degree = component_degree + 1
-            image_slice = _degree_slice(model, image_degree)
-            rhs_vector = [vec.get(h, Fraction(0)) for h in image_slice]
-            leftovers = {h for h in vec if h not in set(image_slice)}
-            if leftovers:
+        for (exps, vec), solution in zip(items, echelon.solve()):
+            if any(h not in image_slice for h in vec):
                 raise ObstructionError(
                     component_degree,
                     "contraction image leaves the expected degree slice",
                 )
-            matrix = [
-                [model.d[h][g] for g in domain] for h in image_slice
-            ]
-            solution = solve_rational(matrix, rhs_vector) if domain else None
             if solution is None:
-                if any(v != 0 for v in rhs_vector):
-                    raise ObstructionError(
-                        component_degree,
-                        "contraction image is not exact "
-                        f"(monomial u^{exps})",
-                    )
-                solution = []
+                raise ObstructionError(
+                    component_degree,
+                    "contraction image is not exact "
+                    f"(monomial u^{exps})",
+                )
             solved[exps] = {
                 g: value for g, value in zip(domain, solution) if value != 0
             }

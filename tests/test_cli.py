@@ -187,6 +187,12 @@ def test_classify_constant_matrix(capsys):
     assert code == 0
     assert payload["invariant_factors"] == ["1", "1"]
     assert payload["checks"]["specialized_rank"] == 2
+    # no entry is homogeneous of positive degree, yet the rank is not constant
+    code, payload, _ = invoke_json(capsys, "classify", "--matrix", "u^3-3u^2")
+    assert code == 0
+    assert payload["invariant_factors"] == ["u^3 - 3*u^2"]
+    assert payload["checks"]["specialized_rank"] == 1
+    assert payload["checks"]["ranks_agree"] is True
 
 
 def test_classify_matrix_rejects_garbage(capsys):

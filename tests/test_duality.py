@@ -19,13 +19,16 @@ from equicart.duality import (
     pairing_matrix,
     presentation_from_model,
 )
-from equicart.gcomplex import cohomology_hilbert, element
+from equicart.gcomplex import cohomology_generic, cohomology_hilbert, element
+from equicart.gysin import restrict_subtorus
 from equicart.models import (
     builtin,
+    c_alpha,
     circle_free,
     circle_trivial,
     point,
     s2_rotation,
+    tensor_product,
 )
 
 U = Polynomial.variable(1, 0)
@@ -165,6 +168,29 @@ def test_compact_builtins_have_perfect_duality(model):
     report = duality_check(model)
     assert report.perfect, str(report)
     assert "perfect" in str(report)
+
+
+@pytest.mark.parametrize(
+    "left, ranks",
+    [(None, (4, 0)), ([[1, 1], [1, 2]], (2, 0))],
+    ids=["s2|[[1,2]]^2", "c_alpha(1,1;1,2)xs2|[[1,2]]"],
+)
+def test_rank_two_products_follow_kunneth_and_duality(left, ranks):
+    # rows over Q(u1, u2) whose entries share unreduced denominators once
+    # crashed the elimination
+    sphere = restrict_subtorus(s2_rotation(), [[1, 2]])
+    factor = sphere if left is None else c_alpha(left)
+    a, b = cohomology_generic(factor), cohomology_generic(sphere)
+    kunneth = (
+        a.even_rank * b.even_rank + a.odd_rank * b.odd_rank,
+        a.even_rank * b.odd_rank + a.odd_rank * b.even_rank,
+    )
+    assert kunneth == ranks
+    product = tensor_product(factor, sphere)
+    generic = cohomology_generic(product)
+    assert (generic.even_rank, generic.odd_rank) == ranks
+    report = duality_check(product)
+    assert report.perfect, str(report)
 
 
 def test_duality_flags_a_broken_integration_functional():
