@@ -399,17 +399,6 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     return q
 
 
-def monomials(torus_rank: int, degree: int) -> list:
-    """All exponent tuples of the given total degree, in lexicographic order."""
-    if torus_rank == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for head in range(degree, -1, -1):
-        for tail in monomials(torus_rank - 1, degree - head):
-            out.append((head,) + tail)
-    return sorted(out, reverse=True)
-
-
 class RationalFunction:
     """Element of the fraction field of Q[u_1..u_n].
 
@@ -642,10 +631,6 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence], zero):
             row.append(acc)
         out.append(row)
     return out
-
-
-def matvec(a: Sequence[Sequence], v: Sequence, zero):
-    return [col[0] for col in matmul(a, [[x] for x in v], zero)] if a else []
 
 
 def identity_matrix(n: int, one, zero):

@@ -294,13 +294,12 @@ def _cmd_validate(args) -> Tuple[int, dict]:
 def _cmd_cohomology(args) -> Tuple[int, dict]:
     model = _resolve_model(args.model)
     cutoff = args.cutoff if args.cutoff is not None else model.default_cutoff()
-    hilbert = gcomplex.cohomology_hilbert(model, cutoff)
-    generic = gcomplex.cohomology_generic(model)
     comparison = gcomplex.predict_free_hilbert(model, cutoff)
+    generic = gcomplex.cohomology_generic(model)
     payload = {
         "model": model.name,
         "cutoff": cutoff,
-        "hilbert": hilbert,
+        "hilbert": list(comparison.actual),
         "generic": {
             "even_rank": generic.even_rank,
             "odd_rank": generic.odd_rank,

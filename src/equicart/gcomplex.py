@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import comb
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -27,7 +28,6 @@ from .algebra import (
     Echelon,
     Polynomial,
     RationalFunction,
-    monomials,
     rank_rational,
 )
 from .euler import FixedPointDatum
@@ -714,68 +714,71 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
 # -- exact degreewise cohomology ----------------------------------------------
 
 
-def _slice_basis(model: InvariantModel, k: int) -> List[Tuple[tuple, int]]:
-    """Q-basis of the total-degree-k slice: (monomial exponents, generator)."""
-    out = []
-    n = model.torus_rank
-    for j in range(k // 2 + 1):
-        gens_here = [
-            i for i, g in enumerate(model.generators) if g.degree == k - 2 * j
+def _monomial_count(torus_rank: int, degree: int) -> int:
+    """Number of monomials of the given degree in torus_rank variables."""
+    return comb(torus_rank - 1 + degree, degree) if torus_rank else int(degree == 0)
+
+
+def _monomials_by_degree(torus_rank: int, top: int) -> List[List[tuple]]:
+    """Entry j: the exponent tuples of total degree j <= top, in descending
+    lexicographic order."""
+    layer = [[()]] + [[] for _ in range(top)]
+    for _ in range(torus_rank):
+        layer = [
+            [(head,) + tail for head in range(j, -1, -1) for tail in layer[j - head]]
+            for j in range(top + 1)
         ]
-        if not gens_here:
-            continue
-        for exps in monomials(n, j):
-            for i in gens_here:
-                out.append((exps, i))
-    return out
-
-
-def _slice_rows(
-    model: InvariantModel,
-    basis_k: List[Tuple[tuple, int]],
-    basis_next: List[Tuple[tuple, int]],
-) -> List[Dict[int, Fraction]]:
-    """d_T on the degree-k slice as sparse rows: row p is the image of
-    basis_k[p] in basis_next (the transpose of the map, of the same rank)."""
-    index_next = {key: pos for pos, key in enumerate(basis_next)}
-    size = len(model.generators)
-    # per source generator g: (variable index or None for d, h, entry)
-    terms: List[list] = [[] for _ in range(size)]
-    for shift, matrix in [(None, model.d)] + list(enumerate(model.contractions)):
-        for h in range(size):
-            for g in range(size):
-                if matrix[h][g] != 0:
-                    terms[g].append((shift, h, matrix[h][g]))
-    rows = []
-    for exps, g in basis_k:
-        row: Dict[int, Fraction] = {}
-        for shift, h, coeff in terms[g]:
-            target = exps
-            if shift is not None:
-                target = tuple(e + 1 if v == shift else e for v, e in enumerate(exps))
-            pos = index_next.get((target, h))
-            if pos is not None:
-                row[pos] = row.get(pos, 0) + coeff
-        rows.append(row)
-    return rows
+    return layer
 
 
 def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> List[int]:
-    """dim_Q of the degree-k equivariant cohomology for 0 <= k <= cutoff."""
+    """dim_Q of the degree-k equivariant cohomology for 0 <= k <= cutoff.
+
+    Slice k of S(t) tensor C has basis u^e tensor g with 2|e| + |g| = k; its
+    dimension is counted, not enumerated.  The rank of d_T from slice k to
+    slice k+1 is taken over the rows of generators with a term only: an
+    inert generator (zero column in d and every c_i) spans part of the kernel.
+    """
     if cutoff is None:
         cutoff = model.default_cutoff()
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    bases = [_slice_basis(model, k) for k in range(cutoff + 2)]
+    n, degrees = model.torus_rank, model.degrees()
+    dims = [0] * (cutoff + 2)
+    for deg in degrees:
+        for j in range((cutoff + 1 - deg) // 2 + 1 if deg >= 0 else 0):
+            dims[deg + 2 * j] += _monomial_count(n, j)
+    # per source generator: the terms (variable index or None for d, h, entry)
+    # that land in the next slice; a term of the wrong degree has no target
+    terms: List[list] = [[] for _ in degrees]
+    operators = [(None, model.d, 1)]
+    operators += [(i, c, -1) for i, c in enumerate(model.contractions)]
+    for shift, matrix, step in operators:
+        for h, row in enumerate(matrix):
+            for g, entry in enumerate(row):
+                if entry != 0 and degrees[h] == degrees[g] + step >= 0:
+                    terms[g].append((shift, h, entry))
+    active = [g for g, deg in enumerate(degrees) if terms[g] and 0 <= deg <= cutoff]
+    top = max((cutoff - degrees[g]) // 2 for g in active) if active else -1
+    monomials = _monomials_by_degree(n, top)
     ranks = []
     for k in range(cutoff + 1):
-        rows = _slice_rows(model, bases[k], bases[k + 1])
-        ranks.append(_echelon(rows, len(bases[k + 1]), None).rank)
-    table = []
-    for k in range(cutoff + 1):
-        dim_k = len(bases[k])
-        incoming = ranks[k - 1] if k > 0 else 0
-        table.append(dim_k - ranks[k] - incoming)
+        echelon = Echelon(dims[k + 1])
+        columns: Dict[tuple, int] = {}  # (exponents, h) -> column, on first sight
+        for g in active:
+            j, odd = divmod(k - degrees[g], 2)
+            if odd or j < 0:
+                continue
+            for exps in monomials[j]:
+                row = {}
+                for shift, h, entry in terms[g]:
+                    target = exps
+                    if shift is not None:
+                        target = exps[:shift] + (exps[shift] + 1,) + exps[shift + 1:]
+                    row[columns.setdefault((target, h), len(columns))] = entry
+                echelon.add_row(row)
+        ranks.append(echelon.rank)
+    table = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(cutoff + 1)]
     if any(v < 0 for v in table):
         raise AssertionError("negative Hilbert entry; model invalid")
     return table
@@ -832,7 +835,7 @@ def predict_free_hilbert(
         for j in range(k // 2 + 1):
             deg = k - 2 * j
             if deg < len(h_c):
-                total += len(monomials(n, j)) * h_c[deg]
+                total += _monomial_count(n, j) * h_c[deg]
         predicted.append(total)
     actual = cohomology_hilbert(model, cutoff)
     return FreeComparison(predicted=tuple(predicted), actual=tuple(actual))

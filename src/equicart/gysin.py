@@ -27,7 +27,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     matmul,
-    rank_and_solve,
 )
 from .duality import Pairing, duality_check, pairing_matrix
 from .euler import FixedPointDatum
@@ -229,37 +228,45 @@ def decompose_in_basis(
 
     Solves x = sum_k coeff_k * basis_k + d_T(y) on the parity slice of x.
     """
+    return decompose_many(model, basis, [x])[0]
+
+
+def decompose_many(
+    model: InvariantModel,
+    basis: Sequence[EquivariantElement],
+    elements: Sequence[EquivariantElement],
+) -> List[List[RationalFunction]]:
+    """``decompose_in_basis`` for each element, with one elimination per
+    parity: the elements of that parity are its right-hand sides."""
     n = model.torus_rank
     zero = RationalFunction.constant(n, 0)
-    if x.is_zero:
-        return [zero] * len(basis)
-    parity = _parity_of(x)
+    out = [[zero] * len(basis) for _ in elements]
     even, odd, a_eo, a_oe = cartan_parity_matrices(model)
-    indices = even if parity == 0 else odd
-    boundary = a_oe if parity == 0 else a_eo  # maps INTO this parity
-    same_parity = [
-        (k, b) for k, b in enumerate(basis) if b.is_zero or _parity_of(b) == parity
-    ]
-    columns: List[List[RationalFunction]] = []
-    for _, b in same_parity:
-        columns.append(
-            [RationalFunction.coerce(b.coefficient(i), n) for i in indices]
-        )
-    boundary_cols = len(boundary[0]) if boundary and boundary[0] else 0
-    for j in range(boundary_cols):
-        columns.append(
-            [RationalFunction.coerce(boundary[i][j], n) for i in range(len(indices))]
-        )
-    rhs = [RationalFunction.coerce(x.coefficient(i), n) for i in indices]
-    rows = [[col[i] for col in columns] for i in range(len(indices))]
-    result = rank_and_solve(rows, b=rhs, torus_rank=n, cols=len(columns))
-    if not result.consistent or result.solution is None:
-        raise DecompositionError(
-            f"cocycle does not decompose in the basis of {model.name!r}"
-        )
-    out = [zero] * len(basis)
-    for pos, (k, _) in enumerate(same_parity):
-        out[k] = result.solution[pos]
+    by_parity: Dict[int, List[int]] = {}
+    for pos, x in enumerate(elements):
+        if not x.is_zero:
+            by_parity.setdefault(_parity_of(x), []).append(pos)
+    for parity, positions in by_parity.items():
+        indices = even if parity == 0 else odd
+        boundary = a_oe if parity == 0 else a_eo  # maps INTO this parity
+        same_parity = [
+            k for k, b in enumerate(basis) if b.is_zero or _parity_of(b) == parity
+        ]
+        boundary_cols = len(boundary[0]) if boundary else 0
+        echelon = Echelon(len(same_parity) + boundary_cols, n, nrhs=len(positions))
+        for i, gen in enumerate(indices):
+            echelon.add_row(
+                [basis[k].coefficient(gen) for k in same_parity]
+                + boundary[i]
+                + [elements[pos].coefficient(gen) for pos in positions]
+            )
+        for pos, solution in zip(positions, echelon.solve()):
+            if solution is None:
+                raise DecompositionError(
+                    f"cocycle does not decompose in the basis of {model.name!r}"
+                )
+            for col, k in enumerate(same_parity):
+                out[pos][k] = solution[col]
     return out
 
 
@@ -274,10 +281,11 @@ def pullback_cohomology(f: ModelMap) -> MatrixF:
     source_coh = cohomology_generic(f.source)
     target_coh = cohomology_generic(f.target)
     source_basis = source_coh.elements()
-    columns = []
-    for rep in target_coh.elements():
-        pulled = pullback_element(f, rep)
-        columns.append(decompose_in_basis(f.source, source_basis, pulled))
+    columns = decompose_many(
+        f.source,
+        source_basis,
+        [pullback_element(f, rep) for rep in target_coh.elements()],
+    )
     rows = [
         [columns[j][i] for j in range(len(columns))]
         for i in range(len(source_basis))
@@ -443,27 +451,38 @@ def projection_formula_check(
             for i in range(len(target_classes))
             for j in range(len(source_classes))
         ]
+    mixed_coords = decompose_many(
+        f.source,
+        source_classes,
+        [
+            element_product(
+                f.source, pullback_element(f, target_classes[i]), source_classes[j]
+            )
+            for i, j in samples
+        ],
+    )
+    rhs_coords = decompose_many(
+        f.target,
+        target_classes,
+        [
+            element_product(
+                f.target, target_classes[i], _gysin_image(f, gysin, target_classes, j)
+            )
+            for i, j in samples
+        ],
+    )
     entries = []
-    for i, j in samples:
-        alpha = target_classes[i]
-        beta = source_classes[j]
-        mixed = element_product(
-            f.source, pullback_element(f, alpha), beta
-        )
-        mixed_coords = decompose_in_basis(f.source, source_classes, mixed)
+    for (i, j), coords, rhs in zip(samples, mixed_coords, rhs_coords):
         lhs = [
             sum(
                 (
-                    gysin.matrix[k, jj] * mixed_coords[jj]
+                    gysin.matrix[k, jj] * coords[jj]
                     for jj in range(len(source_classes))
                 ),
                 RationalFunction.constant(f.source.torus_rank, 0),
             )
             for k in range(len(target_classes))
         ]
-        pushed_beta = _gysin_image(f, gysin, target_classes, j)
-        rhs_element = element_product(f.target, alpha, pushed_beta)
-        rhs = decompose_in_basis(f.target, target_classes, rhs_element)
         residual = tuple(a - b for a, b in zip(lhs, rhs))
         entries.append(
             (target_coh.names()[i], source_coh.names()[j], residual)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -541,3 +544,16 @@ def test_subcommand_table_matches_the_parser():
 
 def test_package_exposes_run():
     assert equicart.run is run
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["cohomology", "--model", "builtin:s2_rotation"]
+    code, out, err = invoke(capsys, *argv)
+    src = str(Path(equicart.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "equicart", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

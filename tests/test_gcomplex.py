@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from equicart.algebra import Polynomial, RationalFunction, rank_rational
@@ -25,6 +26,7 @@ from equicart.gcomplex import (
     underlying_cohomology_dims,
     validate_model,
 )
+from equicart.gysin import restrict_subtorus
 from equicart.models import (
     builtin_names,
     builtin,
@@ -32,6 +34,7 @@ from equicart.models import (
     circle_trivial,
     point,
     s2_rotation,
+    tensor_product,
 )
 
 U = Polynomial.variable(1, 0)
@@ -271,6 +274,51 @@ def _brute_force_hilbert(model, cutoff):
 def test_hilbert_table_matches_independent_enumeration(model):
     cutoff = 8
     assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
+
+
+FACTORS_BY_RANK = {
+    1: ["point(1)", "circle_trivial(1)", "circle_free", "s2_rotation",
+        "obstruction_pair", "c_alpha(1)", "c_alpha(2)"],
+    2: ["point(2)", "circle_trivial(2)", "rema_adj", "c_alpha(1,0;0,1)"],
+}
+
+
+@st.composite
+def derived_models(draw):
+    """A builtin or a product of two, restricted to a torus of rank 0, 1 or
+    2, contractions possibly rescaled; points and trivial circles bring
+    inert generators, and so do zero restriction columns."""
+    n = draw(st.sampled_from(sorted(FACTORS_BY_RANK)))
+    names = draw(st.lists(st.sampled_from(FACTORS_BY_RANK[n]), min_size=1, max_size=2))
+    model = builtin(names[0])
+    for name in names[1:]:
+        model = tensor_product(model, builtin(name))
+    r = draw(st.integers(0, 2))
+    if r != n or draw(st.booleans()):
+        weights = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)]
+        model = restrict_subtorus(model, weights)
+    if draw(st.booleans()):
+        num = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        model = scale_contractions(model, Fraction(num, draw(st.integers(1, 3))))
+    return model, draw(st.integers(0, 7))
+
+
+@seed(20261018)
+@settings(max_examples=40)
+@given(derived_models())
+def test_hilbert_table_matches_enumeration_on_derived_models(case):
+    model, cutoff = case
+    assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
+
+
+def test_point_hilbert_table_is_the_polynomial_ring():
+    # 30 variables: slice 64 alone has C(61, 32) > 10^17 monomials
+    model = point(30)
+    table = cohomology_hilbert(model)
+    assert len(table) == model.default_cutoff() + 1
+    assert table == [
+        comb(29 + k // 2, k // 2) if k % 2 == 0 else 0 for k in range(len(table))
+    ]
 
 
 def test_hilbert_oracles():

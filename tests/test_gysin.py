@@ -8,6 +8,7 @@ from equicart.algebra import Polynomial, RationalFunction
 from equicart.duality import duality_check, pairing_matrix
 from equicart.gcomplex import (
     cartan_differential,
+    cohomology_generic,
     cohomology_hilbert,
     element,
     named_cocycle_element,
@@ -21,6 +22,8 @@ from equicart.gysin import (
     ObstructionError,
     adjunction_residuals,
     compose_maps,
+    decompose_in_basis,
+    decompose_many,
     gysin_localized,
     identity_map,
     projection_formula_check,
@@ -36,8 +39,10 @@ from equicart.models import (
     builtin_map,
     builtin_maps,
     circle_free,
+    circle_trivial,
     s2_chain,
     s2_rotation,
+    tensor_product,
 )
 
 U = Polynomial.variable(1, 0)
@@ -148,6 +153,31 @@ def test_pullback_element_is_a_ring_map_on_samples():
     w = named_cocycle_element(s2, "w")
     pulled = pullback_element(north, w)
     assert pulled == element(north.source, {"one": 1}).scaled(U)
+
+
+def test_decomposition_batch_recovers_coordinates_of_both_parities():
+    model = tensor_product(circle_trivial(1), s2_rotation())
+    basis = cohomology_generic(model).elements()  # even_0, even_1, odd_0, odd_1
+    want_even = [rf(1) / rf(U + 1), rf(U), rf(0), rf(0)]
+    want_odd = [rf(0), rf(0), rf(3), rf(-1) / rf(U - 2)]
+    want_other = [rf(U * U), rf(2), rf(0), rf(0)]
+
+    def combine(coords, exact_part):
+        out = cartan_differential(model, exact_part)
+        for coeff, b in zip(coords, basis):
+            out = out + b.scaled(coeff)
+        return out
+
+    x_even = combine(want_even, element(model, {"one.dt": 1, "a.t": 2}).scaled(U))
+    x_odd = combine(want_odd, element(model, {"one.q": 1, "a.s": -1}))
+    x_other = combine(want_other, element(model, {}))
+    zero = element(model, {})
+    got = decompose_many(model, basis, [x_even, zero, x_odd, x_other])
+    assert got == [want_even, [rf(0)] * 4, want_odd, want_other]
+    assert decompose_in_basis(model, basis, x_odd) == want_odd
+    # one right-hand side outside the span refuses the whole batch
+    with pytest.raises(DecompositionError):
+        decompose_many(model, basis, [x_even, element(model, {"one.t": 1})])
 
 
 # -- Gysin morphisms ---------------------------------------------------------------
