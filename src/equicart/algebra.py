@@ -616,19 +616,22 @@ class MatrixF:
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence], zero):
-    """Plain matrix product over any exact coefficient type."""
+    """Matrix product over any exact coefficient type that multiplies only
+    nonzero entries of both factors; each entry still sums its products in
+    increasing order of the inner index, as the dense product would."""
     ra, ca = len(a), len(a[0]) if a else 0
     rb, cb = len(b), len(b[0]) if b else 0
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
+    b_rows = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
     out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = zero
-            for k in range(ca):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
+    for row_a in a:
+        row = [zero] * cb
+        for k, x in enumerate(row_a):
+            if x == 0:
+                continue
+            for j, y in b_rows[k]:
+                row[j] = row[j] + x * y
         out.append(row)
     return out
 

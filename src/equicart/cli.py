@@ -32,7 +32,6 @@ from .algebra import (
     generic_specialized_rank,
     invariant_factors,
     matmul,
-    rank_and_solve,
     smith_normal_form,
 )
 
@@ -325,8 +324,8 @@ def _cmd_classify(args) -> Tuple[int, dict]:
     if args.model is None:
         raise UsageError("classify needs --model or --matrix")
     model = _resolve_model(args.model)
-    classification = duality.classify_rank1(model)
     presentation = duality.presentation_from_model(model)
+    classification = duality.classify_presentation(presentation)
     ext = duality.ext_rank1(presentation)
     cutoff = args.cutoff if args.cutoff is not None else model.default_cutoff()
     implied = classification.implied_hilbert(cutoff)
@@ -386,29 +385,27 @@ def _classify_matrix(args) -> Tuple[int, dict]:
 
 def _cmd_pairing(args) -> Tuple[int, dict]:
     model = _resolve_model(args.model)
-    pairing = duality.pairing_matrix(model)
-    rows = [
-        [pairing.matrix[(i, j)] for j in range(pairing.matrix.cols)]
-        for i in range(pairing.matrix.rows)
-    ]
+    analysis = duality.ModelAnalysis(model)
+    pairing = analysis.pairing
     payload = {
         "model": model.name,
         "basis": list(pairing.names),
         "matrix": _matrix_strings(pairing.matrix),
-        "rank": rank_and_solve(rows, torus_rank=model.torus_rank).rank,
+        "rank": analysis.duality.pairing_rank,
     }
     return 0, payload
 
 
 def _cmd_duality(args) -> Tuple[int, dict]:
     model = _resolve_model(args.model)
-    report = duality.duality_check(model)
+    analysis = duality.ModelAnalysis(model)
+    report = analysis.duality
     payload = {
         "model": model.name,
         "pairing_rank": report.pairing_rank,
         "generic_betti_total": report.generic_betti_total,
         "perfect": report.perfect,
-        "is_torsion": duality.is_torsion(model),
+        "is_torsion": analysis.is_torsion,
     }
     return (0 if report.perfect else 2), payload
 
@@ -432,14 +429,15 @@ def _cmd_gysin(args) -> Tuple[int, dict]:
             for i in report.issues
         ]
         return 2, payload
-    pullback = gysin.pullback_cohomology(f)
+    analysis = gysin.MapAnalysis(f)
+    pullback = analysis.pullback
     payload["pullback_matrix"] = _matrix_strings(pullback)
-    if duality.is_torsion(f.target):
+    if analysis.target.is_torsion:
         payload["note"] = TORSION_GYSIN_NOTE
         payload["gysin_shape"] = [0, pullback.rows]
         return 0, payload
-    g = gysin.gysin_localized(f)
-    projection = gysin.projection_formula_check(f)
+    g = analysis.gysin
+    projection = analysis.projection_formula()
     payload["gysin"] = {
         "source_basis": list(g.source_basis),
         "target_basis": list(g.target_basis),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -22,7 +23,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     UnsupportedRankError,
-    rank_and_solve,
     smith_normal_form,
 )
 from .gcomplex import (
@@ -39,6 +39,12 @@ Coefficient = Union[Polynomial, RationalFunction]
 
 class NonCompactModelError(ValueError):
     """Integration requested on a model with no integration functional."""
+
+
+class DecompositionError(RuntimeError):
+    """A cocycle failed to decompose in the stored cohomology basis, or a
+    pairing that must be inverted is singular; this signals an inconsistent
+    model or an internal bug, not bad user input."""
 
 
 def integrate(model: InvariantModel, x: EquivariantElement) -> Coefficient:
@@ -129,24 +135,73 @@ class DualityReport:
         )
 
 
-def duality_check(model: InvariantModel) -> DualityReport:
-    """Perfect iff the pairing matrix has full rank on the generic basis.
+class ModelAnalysis:
+    """What the pipeline derives from one model, each part computed on first
+    use and then held: generic cohomology, the pairing on its basis, the
+    duality report and the inverse pairing.
 
-    For a valid compact finite model this must hold; a failure indicates a
-    defective model (wrong integration functional or product table)."""
-    cohomology = cohomology_generic(model)
-    pairing = pairing_matrix(model, cohomology)
-    rank = rank_and_solve(pairing.matrix.row_lists(), torus_rank=model.torus_rank).rank
-    return DualityReport(
-        model_name=model.name,
-        pairing_rank=rank,
-        generic_betti_total=cohomology.total_rank,
-    )
+    The rank in the report and the inverse come from one elimination of
+    [pairing | identity].  Nothing is shared between analyses: a caller that
+    needs several parts for one model builds one analysis and asks it.
+    """
+
+    def __init__(self, model: InvariantModel):
+        self.model = model
+
+    @cached_property
+    def cohomology(self) -> GenericCohomology:
+        return cohomology_generic(self.model)
+
+    @property
+    def is_torsion(self) -> bool:
+        """True iff the fraction-field cohomology vanishes entirely."""
+        return self.cohomology.total_rank == 0
+
+    @cached_property
+    def pairing(self) -> Pairing:
+        return pairing_matrix(self.model, self.cohomology)
+
+    @cached_property
+    def _pairing_echelon(self) -> Echelon:
+        size = self.pairing.matrix.rows
+        echelon = Echelon(size, self.model.torus_rank, nrhs=size)
+        for i, row in enumerate(self.pairing.matrix.row_lists()):
+            echelon.add_row(row + [int(i == j) for j in range(size)])
+        return echelon
+
+    @cached_property
+    def duality(self) -> DualityReport:
+        """Perfect iff the pairing matrix has full rank on the generic basis.
+
+        For a valid compact finite model this must hold; a failure indicates
+        a defective model (wrong integration functional or product table)."""
+        return DualityReport(
+            model_name=self.model.name,
+            pairing_rank=self._pairing_echelon.rank,
+            generic_betti_total=self.cohomology.total_rank,
+        )
+
+    @cached_property
+    def inverse_pairing(self) -> List[List[RationalFunction]]:
+        columns = self._pairing_echelon.solve()
+        if any(column is None for column in columns):
+            raise DecompositionError(
+                f"pairing of {self.model.name!r} is singular; "
+                "the model's integration or products are defective"
+            )
+        size = len(columns)
+        return [[columns[j][i] for j in range(size)] for i in range(size)]
+
+
+def duality_check(model: InvariantModel) -> DualityReport:
+    """Perfect iff the pairing matrix has full rank on the generic basis
+    (see ModelAnalysis.duality)."""
+    return ModelAnalysis(model).duality
 
 
 def is_torsion(model: InvariantModel) -> bool:
     """True iff the fraction-field cohomology vanishes entirely."""
-    return cohomology_generic(model).total_rank == 0
+    return ModelAnalysis(model).is_torsion
 
 
 # -- rank-1 module classification ---------------------------------------------

@@ -28,6 +28,7 @@ from .algebra import (
     Echelon,
     Polynomial,
     RationalFunction,
+    matmul,
     rank_rational,
 )
 from .euler import FixedPointDatum
@@ -362,17 +363,6 @@ def _column(matrix, g: int) -> List[Fraction]:
     return [matrix[h][g] for h in range(len(matrix))]
 
 
-def _compose(a, b, size: int) -> List[List[Fraction]]:
-    # (a o b)[h][g] = sum_k a[h][k] b[k][g]
-    return [
-        [
-            sum((a[h][k] * b[k][g] for k in range(size)), Fraction(0))
-            for g in range(size)
-        ]
-        for h in range(size)
-    ]
-
-
 def _residual_string(model: InvariantModel, column: Sequence[Fraction]) -> str:
     parts = [
         f"{val}*{model.generators[h].name}"
@@ -406,7 +396,7 @@ def validate_model(model: InvariantModel) -> ValidationReport:
     for i, c in enumerate(model.contractions):
         check_degree_shift(c, -1, f"c_{i + 1}")
 
-    dd = _compose(model.d, model.d, size)
+    dd = matmul(model.d, model.d, Fraction(0))
     for g in range(size):
         col = _column(dd, g)
         if any(v != 0 for v in col):
@@ -419,8 +409,8 @@ def validate_model(model: InvariantModel) -> ValidationReport:
             )
 
     for i, c in enumerate(model.contractions):
-        anti = _compose(model.d, c, size)
-        cd = _compose(c, model.d, size)
+        anti = matmul(model.d, c, Fraction(0))
+        cd = matmul(c, model.d, Fraction(0))
         for g in range(size):
             col = [anti[h][g] + cd[h][g] for h in range(size)]
             if any(v != 0 for v in col):
@@ -434,8 +424,8 @@ def validate_model(model: InvariantModel) -> ValidationReport:
 
     for i in range(model.torus_rank):
         for j in range(i, model.torus_rank):
-            cc = _compose(model.contractions[i], model.contractions[j], size)
-            ccr = _compose(model.contractions[j], model.contractions[i], size)
+            cc = matmul(model.contractions[i], model.contractions[j], Fraction(0))
+            ccr = matmul(model.contractions[j], model.contractions[i], Fraction(0))
             for g in range(size):
                 col = [cc[h][g] + ccr[h][g] for h in range(size)]
                 if any(v != 0 for v in col):

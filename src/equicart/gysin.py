@@ -9,17 +9,28 @@ pullback under the two Poincare pairings:
     <f* a_i, b_j>_source = <a_i, X b_j>_target   for all basis pairs,
 
 solved as X = P_target^-1 * F^t * P_source and re-verified entry by entry
-against independently computed products and integrals.  Thom extension turns
-a closed top form into an equivariant cocycle by solving one rational linear
-system per polynomial step; when a contraction image fails to be exact the
-obstruction error names the component degree where extension stopped.
+against independently computed products and integrals.
+
+One MapAnalysis per map carries this flow: it holds a ModelAnalysis of the
+source and of the target (the same object for an endomorphism), so each
+model's generic cohomology, pairing and inverse pairing are computed once,
+and the pullback F and the verified Gysin matrix once per map.
+``pullback_cohomology``, ``gysin_localized``, ``adjunction_residuals`` and
+``projection_formula_check`` each build a fresh analysis; nothing is kept
+between calls.
+
+Thom extension turns a closed top form into an equivariant cocycle by
+solving one rational linear system per polynomial step; when a contraction
+image fails to be exact the obstruction error names the component degree
+where extension stopped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import (
     Echelon,
@@ -28,27 +39,20 @@ from .algebra import (
     RationalFunction,
     matmul,
 )
-from .duality import Pairing, duality_check, pairing_matrix
+from .duality import DecompositionError, ModelAnalysis, integrate
 from .euler import FixedPointDatum
 from .gcomplex import (
     EquivariantElement,
     InvariantModel,
     cartan_differential,
     cartan_parity_matrices,
-    cohomology_generic,
     element_product,
-    evaluate_at_point,
     zero_element,
 )
 
 
 class MapStructureError(ValueError):
     """Shape or rank problems detected before any commutation check."""
-
-
-class DecompositionError(RuntimeError):
-    """A cocycle failed to decompose in the stored cohomology basis; this
-    signals an inconsistent model or an internal bug, not bad user input."""
 
 
 class ObstructionError(RuntimeError):
@@ -275,24 +279,6 @@ def _matrix_with_shape(rows: List[list], nrows: int, ncols: int) -> MatrixF:
     return MatrixF(nrows, ncols, tuple(tuple(row) for row in rows))
 
 
-def pullback_cohomology(f: ModelMap) -> MatrixF:
-    """The matrix of f* between generic cohomology bases: column i holds the
-    source-basis coordinates of the pullback of target representative i."""
-    source_coh = cohomology_generic(f.source)
-    target_coh = cohomology_generic(f.target)
-    source_basis = source_coh.elements()
-    columns = decompose_many(
-        f.source,
-        source_basis,
-        [pullback_element(f, rep) for rep in target_coh.elements()],
-    )
-    rows = [
-        [columns[j][i] for j in range(len(columns))]
-        for i in range(len(source_basis))
-    ]
-    return _matrix_with_shape(rows, len(source_basis), len(columns))
-
-
 @dataclass(frozen=True)
 class GysinMatrix:
     """f_* on generic cohomology bases, adjoint to the pullback.
@@ -307,110 +293,6 @@ class GysinMatrix:
     target_basis: Tuple[str, ...]
     matrix: MatrixF
     degree_shift: int
-
-
-def _invert_pairing(pairing: Pairing, torus_rank: int) -> List[List[RationalFunction]]:
-    size = pairing.matrix.rows
-    echelon = Echelon(size, torus_rank, nrhs=size)
-    for i, row in enumerate(pairing.matrix.row_lists()):
-        echelon.add_row(row + [int(i == j) for j in range(size)])
-    columns = echelon.solve()
-    if any(column is None for column in columns):
-        raise DecompositionError(
-            f"pairing of {pairing.model_name!r} is singular; "
-            "the model's integration or products are defective"
-        )
-    return [[columns[j][i] for j in range(size)] for i in range(size)]
-
-
-def gysin_localized(f: ModelMap) -> GysinMatrix:
-    """Solve the adjunction for f_* and re-verify it independently.
-
-    Both models must be compact with perfect pairings.  A torsion target has
-    an empty localized basis; the returned matrix then has zero rows and the
-    adjunction holds vacuously.
-    """
-    n = f.source.torus_rank
-    for model in (f.source, f.target):
-        report = duality_check(model)
-        if not report.perfect:
-            raise DecompositionError(
-                f"model {model.name!r} fails duality ({report}); "
-                "Gysin is not determined"
-            )
-    source_pairing = pairing_matrix(f.source)
-    target_pairing = pairing_matrix(f.target)
-    pullback = pullback_cohomology(f)
-
-    zero = RationalFunction.constant(n, 0)
-    s_dim = len(source_pairing.names)
-    t_dim = len(target_pairing.names)
-    if t_dim == 0 or s_dim == 0:
-        matrix = _matrix_with_shape([[] for _ in range(t_dim)], t_dim, s_dim)
-    else:
-        p_t_inv = _invert_pairing(target_pairing, n)
-        f_t = [
-            [pullback[i, j] for i in range(pullback.rows)] for j in range(pullback.cols)
-        ]  # transpose: t_dim x s_dim
-        rhs = matmul(f_t, source_pairing.matrix.row_lists(), zero)
-        x = matmul(p_t_inv, rhs, zero)
-        matrix = _matrix_with_shape(x, t_dim, s_dim)
-    gysin = GysinMatrix(
-        map_name=f.name,
-        source_basis=tuple(source_pairing.names),
-        target_basis=tuple(target_pairing.names),
-        matrix=matrix,
-        degree_shift=f.source.top_degree - f.target.top_degree,
-    )
-    residuals = adjunction_residuals(f, gysin)
-    bad = [entry for entry in residuals if not entry[2].is_zero]
-    if bad:
-        i, j, value = bad[0]
-        raise DecompositionError(
-            f"adjunction residual nonzero at basis pair ({i}, {j}): {value}"
-        )
-    return gysin
-
-
-def _gysin_image(
-    f: ModelMap, gysin: GysinMatrix, target_classes, j: int
-) -> EquivariantElement:
-    """f_* of source basis class j, as a target element over the fraction
-    field."""
-    out = zero_element(f.target)
-    for k in range(gysin.matrix.rows):
-        coeff = gysin.matrix[k, j]
-        if coeff.is_zero:
-            continue
-        out = out + target_classes[k].scaled(coeff)
-    return out
-
-
-def adjunction_residuals(
-    f: ModelMap, gysin: GysinMatrix
-) -> List[Tuple[int, int, RationalFunction]]:
-    """<f* a_i, b_j>_source - <a_i, f_* b_j>_target for every basis pair,
-    computed from products and integrals only (independent of the solver)."""
-    from .duality import integrate  # local import keeps module init light
-
-    n = f.source.torus_rank
-    source_coh = cohomology_generic(f.source)
-    target_coh = cohomology_generic(f.target)
-    source_classes = source_coh.elements()
-    target_classes = target_coh.elements()
-    out = []
-    for i, alpha in enumerate(target_classes):
-        pulled = pullback_element(f, alpha)
-        for j, beta in enumerate(source_classes):
-            lhs = RationalFunction.coerce(
-                integrate(f.source, element_product(f.source, pulled, beta)), n
-            )
-            pushed = _gysin_image(f, gysin, target_classes, j)
-            rhs = RationalFunction.coerce(
-                integrate(f.target, element_product(f.target, alpha, pushed)), n
-            )
-            out.append((i, j, lhs - rhs))
-    return out
 
 
 @dataclass(frozen=True)
@@ -434,60 +316,205 @@ class ProjectionFormulaReport:
         return "\n".join(lines)
 
 
+def _gysin_image(
+    f: ModelMap, gysin: GysinMatrix, target_classes, j: int
+) -> EquivariantElement:
+    """f_* of source basis class j, as a target element over the fraction
+    field."""
+    out = zero_element(f.target)
+    for k in range(gysin.matrix.rows):
+        coeff = gysin.matrix[k, j]
+        if coeff.is_zero:
+            continue
+        out = out + target_classes[k].scaled(coeff)
+    return out
+
+
+class MapAnalysis:
+    """What the pipeline derives from one map, each part computed on first
+    use and then held: the analyses of source and target (one shared object
+    when they are the same model), the pullback on cohomology and the
+    verified Gysin matrix.  Like ModelAnalysis it is local to its caller."""
+
+    def __init__(self, f: ModelMap):
+        self.map = f
+        self.source = ModelAnalysis(f.source)
+        self.target = (
+            self.source if f.target is f.source else ModelAnalysis(f.target)
+        )
+
+    @cached_property
+    def pullback(self) -> MatrixF:
+        """The matrix of f* between generic cohomology bases: column i holds
+        the source-basis coordinates of the pullback of target
+        representative i."""
+        f = self.map
+        source_basis = self.source.cohomology.elements()
+        columns = decompose_many(
+            f.source,
+            source_basis,
+            [pullback_element(f, rep) for rep in self.target.cohomology.elements()],
+        )
+        rows = [
+            [columns[j][i] for j in range(len(columns))]
+            for i in range(len(source_basis))
+        ]
+        return _matrix_with_shape(rows, len(source_basis), len(columns))
+
+    @cached_property
+    def gysin(self) -> GysinMatrix:
+        """Solve the adjunction for f_* and re-verify it independently.
+
+        Both models must be compact with perfect pairings.  A torsion target
+        has an empty localized basis; the matrix then has zero rows and the
+        adjunction holds vacuously.
+        """
+        f = self.map
+        for analysis in (self.source, self.target):
+            report = analysis.duality
+            if not report.perfect:
+                raise DecompositionError(
+                    f"model {analysis.model.name!r} fails duality ({report}); "
+                    "Gysin is not determined"
+                )
+        source_pairing = self.source.pairing
+        target_pairing = self.target.pairing
+        pullback = self.pullback
+
+        zero = RationalFunction.constant(f.source.torus_rank, 0)
+        s_dim = len(source_pairing.names)
+        t_dim = len(target_pairing.names)
+        if t_dim == 0 or s_dim == 0:
+            matrix = _matrix_with_shape([[] for _ in range(t_dim)], t_dim, s_dim)
+        else:
+            f_t = [
+                [pullback[i, j] for i in range(pullback.rows)]
+                for j in range(pullback.cols)
+            ]  # transpose: t_dim x s_dim
+            rhs = matmul(f_t, source_pairing.matrix.row_lists(), zero)
+            x = matmul(self.target.inverse_pairing, rhs, zero)
+            matrix = _matrix_with_shape(x, t_dim, s_dim)
+        gysin = GysinMatrix(
+            map_name=f.name,
+            source_basis=tuple(source_pairing.names),
+            target_basis=tuple(target_pairing.names),
+            matrix=matrix,
+            degree_shift=f.source.top_degree - f.target.top_degree,
+        )
+        bad = [entry for entry in self.residuals(gysin) if not entry[2].is_zero]
+        if bad:
+            i, j, value = bad[0]
+            raise DecompositionError(
+                f"adjunction residual nonzero at basis pair ({i}, {j}): {value}"
+            )
+        return gysin
+
+    def residuals(
+        self, gysin: GysinMatrix
+    ) -> List[Tuple[int, int, RationalFunction]]:
+        """<f* a_i, b_j>_source - <a_i, f_* b_j>_target for every basis pair,
+        computed from products and integrals only (independent of the
+        solver)."""
+        f = self.map
+        n = f.source.torus_rank
+        source_classes = self.source.cohomology.elements()
+        target_classes = self.target.cohomology.elements()
+        out = []
+        for i, alpha in enumerate(target_classes):
+            pulled = pullback_element(f, alpha)
+            for j, beta in enumerate(source_classes):
+                lhs = RationalFunction.coerce(
+                    integrate(f.source, element_product(f.source, pulled, beta)), n
+                )
+                pushed = _gysin_image(f, gysin, target_classes, j)
+                rhs = RationalFunction.coerce(
+                    integrate(f.target, element_product(f.target, alpha, pushed)), n
+                )
+                out.append((i, j, lhs - rhs))
+        return out
+
+    def projection_formula(
+        self, samples: Optional[Sequence[Tuple[int, int]]] = None
+    ) -> ProjectionFormulaReport:
+        """Residuals of f_*(f* a * b) - a * f_*(b) in target-basis
+        coordinates, for sampled pairs (a = target class index, b = source
+        class index); default samples every basis pair."""
+        f = self.map
+        gysin = self.gysin
+        source_coh = self.source.cohomology
+        target_coh = self.target.cohomology
+        source_classes = source_coh.elements()
+        target_classes = target_coh.elements()
+        if samples is None:
+            samples = [
+                (i, j)
+                for i in range(len(target_classes))
+                for j in range(len(source_classes))
+            ]
+        mixed_coords = decompose_many(
+            f.source,
+            source_classes,
+            [
+                element_product(
+                    f.source, pullback_element(f, target_classes[i]), source_classes[j]
+                )
+                for i, j in samples
+            ],
+        )
+        rhs_coords = decompose_many(
+            f.target,
+            target_classes,
+            [
+                element_product(
+                    f.target, target_classes[i], _gysin_image(f, gysin, target_classes, j)
+                )
+                for i, j in samples
+            ],
+        )
+        entries = []
+        for (i, j), coords, rhs in zip(samples, mixed_coords, rhs_coords):
+            lhs = [
+                sum(
+                    (
+                        gysin.matrix[k, jj] * coords[jj]
+                        for jj in range(len(source_classes))
+                    ),
+                    RationalFunction.constant(f.source.torus_rank, 0),
+                )
+                for k in range(len(target_classes))
+            ]
+            residual = tuple(a - b for a, b in zip(lhs, rhs))
+            entries.append(
+                (target_coh.names()[i], source_coh.names()[j], residual)
+            )
+        return ProjectionFormulaReport(map_name=f.name, entries=tuple(entries))
+
+
+def pullback_cohomology(f: ModelMap) -> MatrixF:
+    """The matrix of f* between generic cohomology bases (see
+    MapAnalysis.pullback)."""
+    return MapAnalysis(f).pullback
+
+
+def gysin_localized(f: ModelMap) -> GysinMatrix:
+    """The verified Gysin matrix of f (see MapAnalysis.gysin)."""
+    return MapAnalysis(f).gysin
+
+
+def adjunction_residuals(
+    f: ModelMap, gysin: GysinMatrix
+) -> List[Tuple[int, int, RationalFunction]]:
+    """The adjunction residual of every basis pair (see
+    MapAnalysis.residuals)."""
+    return MapAnalysis(f).residuals(gysin)
+
+
 def projection_formula_check(
     f: ModelMap, samples: Optional[Sequence[Tuple[int, int]]] = None
 ) -> ProjectionFormulaReport:
-    """Residuals of f_*(f* a * b) - a * f_*(b) in target-basis coordinates,
-    for sampled pairs (a = target class index, b = source class index);
-    default samples every basis pair."""
-    gysin = gysin_localized(f)
-    source_coh = cohomology_generic(f.source)
-    target_coh = cohomology_generic(f.target)
-    source_classes = source_coh.elements()
-    target_classes = target_coh.elements()
-    if samples is None:
-        samples = [
-            (i, j)
-            for i in range(len(target_classes))
-            for j in range(len(source_classes))
-        ]
-    mixed_coords = decompose_many(
-        f.source,
-        source_classes,
-        [
-            element_product(
-                f.source, pullback_element(f, target_classes[i]), source_classes[j]
-            )
-            for i, j in samples
-        ],
-    )
-    rhs_coords = decompose_many(
-        f.target,
-        target_classes,
-        [
-            element_product(
-                f.target, target_classes[i], _gysin_image(f, gysin, target_classes, j)
-            )
-            for i, j in samples
-        ],
-    )
-    entries = []
-    for (i, j), coords, rhs in zip(samples, mixed_coords, rhs_coords):
-        lhs = [
-            sum(
-                (
-                    gysin.matrix[k, jj] * coords[jj]
-                    for jj in range(len(source_classes))
-                ),
-                RationalFunction.constant(f.source.torus_rank, 0),
-            )
-            for k in range(len(target_classes))
-        ]
-        residual = tuple(a - b for a, b in zip(lhs, rhs))
-        entries.append(
-            (target_coh.names()[i], source_coh.names()[j], residual)
-        )
-    return ProjectionFormulaReport(map_name=f.name, entries=tuple(entries))
+    """The projection-formula report of f (see
+    MapAnalysis.projection_formula)."""
+    return MapAnalysis(f).projection_formula(samples)
 
 
 # -- Thom extension -----------------------------------------------------------

@@ -557,3 +557,20 @@ def test_python_dash_m_runs_the_cli(capsys):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+# -- recorded reference output ----------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CLI_REFERENCE = json.loads(
+    (REPO_ROOT / "perfbench" / "data" / "cli_reference.json").read_text(encoding="utf-8")
+)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REFERENCE))
+def test_cli_output_matches_the_recorded_reference(capsys, monkeypatch, command):
+    # each key is the argv joined by spaces; model files are named relative
+    # to the repository root
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    assert list(invoke(capsys, *command.split(" "))) == CLI_REFERENCE[command]

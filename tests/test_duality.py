@@ -7,6 +7,8 @@ import pytest
 
 from equicart.algebra import Polynomial, RationalFunction, UnsupportedRankError
 from equicart.duality import (
+    DecompositionError,
+    ModelAnalysis,
     ModuleClassification,
     ModulePresentation,
     NonCompactModelError,
@@ -202,6 +204,28 @@ def test_duality_flags_a_broken_integration_functional():
     assert not report.perfect
     assert report.pairing_rank == 0
     assert "DEGENERATE" in str(report)
+
+
+def test_model_analysis_inverts_the_pairing_from_the_duality_elimination():
+    analysis = ModelAnalysis(tensor_product(s2_rotation(), circle_trivial(1)))
+    assert analysis.duality == duality_check(analysis.model)
+    pairing = analysis.pairing.matrix.row_lists()
+    inverse = analysis.inverse_pairing
+    size = len(pairing)
+    for i in range(size):
+        for j in range(size):
+            entry = sum((inverse[i][k] * pairing[k][j] for k in range(size)), rf(0))
+            assert entry == rf(int(i == j))
+
+
+def test_model_analysis_refuses_to_invert_a_singular_pairing():
+    broken = dataclasses.replace(
+        s2_rotation(), integration={6: Fraction(0), 7: Fraction(0)}
+    )
+    analysis = ModelAnalysis(broken)
+    assert analysis.duality.pairing_rank == 0
+    with pytest.raises(DecompositionError, match="singular"):
+        analysis.inverse_pairing
 
 
 def test_integration_oracles():

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -26,8 +28,11 @@ from equicart.gcomplex import (
     underlying_cohomology_dims,
     validate_model,
 )
-from equicart.gysin import restrict_subtorus
+from equicart import gcomplex, gysin
+from equicart.gysin import identity_map, restrict_map, restrict_subtorus, validate_map
 from equicart.models import (
+    builtin_map,
+    builtin_map_names,
     builtin_names,
     builtin,
     circle_free,
@@ -309,6 +314,73 @@ def derived_models(draw):
 def test_hilbert_table_matches_enumeration_on_derived_models(case):
     model, cutoff = case
     assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
+
+
+def _dense_product(a, b, zero):
+    """Reference composition: every term of every entry, zeros included."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(cols)]
+        for i in range(len(a))
+    ]
+
+
+def _corrupted(draw, matrix):
+    """The matrix with one to three entries overwritten by small rationals
+    (zero included, which deletes a term)."""
+    rows = [list(row) for row in matrix]
+    if rows and rows[0]:
+        for _ in range(draw(st.integers(1, 3))):
+            h = draw(st.integers(0, len(rows) - 1))
+            g = draw(st.integers(0, len(rows[0]) - 1))
+            rows[h][g] = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+    return tuple(tuple(row) for row in rows)
+
+
+@st.composite
+def corrupted_models_and_maps(draw):
+    """A derived model (at most 24 generators, so that the dense reference
+    stays cheap) with d or one c_i corrupted, and a map with a corrupted
+    pullback: the model's identity, or a builtin map restricted to a torus
+    of rank 0, 1 or 2."""
+    model, _ = draw(derived_models().filter(lambda case: len(case[0].generators) <= 24))
+    which = draw(st.sampled_from(["d", "c", "pullback"]))
+    if which == "d":
+        model = dataclasses.replace(model, d=_corrupted(draw, model.d))
+    elif which == "c" and model.torus_rank:
+        contractions = list(model.contractions)
+        i = draw(st.integers(0, model.torus_rank - 1))
+        contractions[i] = _corrupted(draw, contractions[i])
+        model = dataclasses.replace(model, contractions=tuple(contractions))
+    if draw(st.booleans()):
+        f = identity_map(model)
+    else:
+        f = builtin_map(draw(st.sampled_from(builtin_map_names())))
+        r = draw(st.integers(0, 2))
+        f = restrict_map(f, [[draw(st.integers(-2, 2)) for _ in range(r)]])
+    if which == "pullback":
+        f = dataclasses.replace(f, pullback=_corrupted(draw, f.pullback))
+    return model, f
+
+
+@seed(20261018)
+@settings(max_examples=40)
+@given(corrupted_models_and_maps())
+def test_validators_match_a_dense_reference_product(case):
+    model, f = case
+    sparse = (validate_model(model).issues, validate_map(f).issues)
+    with mock.patch.object(gcomplex, "matmul", _dense_product), mock.patch.object(
+        gysin, "matmul", _dense_product
+    ):
+        dense = (validate_model(model).issues, validate_map(f).issues)
+    assert sparse == dense
+
+
+def test_validators_accept_the_largest_rank_one_product():
+    # 64 generators: 7.0 s and 4.2 s with dense products, milliseconds now
+    model = tensor_product(s2_rotation(), s2_rotation())
+    assert validate_model(model).ok
+    assert validate_map(identity_map(model)).ok
 
 
 def test_point_hilbert_table_is_the_polynomial_ring():

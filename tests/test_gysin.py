@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
+import sys
 from fractions import Fraction
 
 import pytest
 
+from equicart import cli, gcomplex
 from equicart.algebra import Polynomial, RationalFunction
 from equicart.duality import duality_check, pairing_matrix
 from equicart.gcomplex import (
@@ -281,6 +285,49 @@ def test_projection_formula(name):
 def test_projection_formula_report_text():
     report = projection_formula_check(builtin_map("s2_to_point"))
     assert "all zero" in str(report)
+
+
+# -- one analysis per call ------------------------------------------------------------
+
+
+def _count_generic_cohomology(monkeypatch):
+    """Wrap every module binding of cohomology_generic with a counter."""
+    original = gcomplex.cohomology_generic
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return original(model)
+
+    for name, module in list(sys.modules.items()):
+        if name == "equicart" or name.startswith("equicart."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _run_cli_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0
+
+
+# cohomology_generic runs once per distinct model a call touches
+ONE_ANALYSIS_CALLS = {
+    "gysin of the identity": (lambda: gysin_localized(identity_map(s2_rotation())), 1),
+    "gysin of an inclusion": (lambda: gysin_localized(builtin_map("s2_north_inclusion")), 2),
+    "projection formula": (lambda: projection_formula_check(identity_map(s2_rotation())), 1),
+    "cli gysin": (lambda: _run_cli_quietly(["gysin", "--map", "builtin:s2_identity"]), 1),
+    "cli duality": (lambda: _run_cli_quietly(["duality", "--model", "builtin:s2_rotation"]), 1),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ONE_ANALYSIS_CALLS))
+def test_each_model_cohomology_is_computed_once_per_call(monkeypatch, label):
+    call, expected = ONE_ANALYSIS_CALLS[label]
+    calls = _count_generic_cohomology(monkeypatch)
+    call()
+    assert len(calls) == expected
 
 
 # -- Thom-style extensions ------------------------------------------------------------
