@@ -30,7 +30,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     generic_specialized_rank,
-    invariant_factors,
     matmul,
     smith_normal_form,
 )
@@ -125,7 +124,10 @@ def _parse_poly1(text: str) -> Polynomial:
         match = _TERM_PATTERN.match(chunk)
         if not match or (match.group(1) is None and match.group(2) is None):
             raise UsageError(f"cannot parse polynomial term {chunk!r}")
-        coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+        try:
+            coeff = Fraction(match.group(1)) if match.group(1) else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise UsageError(f"bad coefficient in {chunk!r}: {exc}") from exc
         exp = 0
         if match.group(2):
             exp = int(match.group(3)) if match.group(3) else 1
@@ -155,7 +157,7 @@ def _parse_element(model, spec: str):
         name, _, raw = chunk.partition(":")
         try:
             coeff = Fraction(raw) if raw else Fraction(1)
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad coefficient in {chunk!r}: {exc}") from exc
         try:
             idx = model.generator_index(name.strip())
@@ -273,8 +275,6 @@ def _cmd_validate(args) -> Tuple[int, dict]:
             model, maps = loaded.model, loaded.maps
     except FileNotFoundError as exc:
         raise UsageError(f"no such model file: {exc.filename}") from exc
-    except models.ModelFileError as exc:
-        return 2, {"ok": False, "error": str(exc)}
     report = gcomplex.validate_model(model)
     payload = {
         "model": model.name,
@@ -326,7 +326,7 @@ def _cmd_classify(args) -> Tuple[int, dict]:
     model = _resolve_model(args.model)
     presentation = duality.presentation_from_model(model)
     classification = duality.classify_presentation(presentation)
-    ext = duality.ext_rank1(presentation)
+    ext = classification.dual
     cutoff = args.cutoff if args.cutoff is not None else model.default_cutoff()
     implied = classification.implied_hilbert(cutoff)
     actual = gcomplex.cohomology_hilbert(model, cutoff)
@@ -355,7 +355,9 @@ def _cmd_classify(args) -> Tuple[int, dict]:
 def _classify_matrix(args) -> Tuple[int, dict]:
     matrix = _parse_poly_matrix(args.matrix)
     u_mat, d_mat, v_mat = smith_normal_form(matrix)
-    factors = invariant_factors(matrix)
+    # the parser never yields an empty matrix (see "cols" below)
+    diagonal = [d_mat[i][i] for i in range(min(len(d_mat), len(d_mat[0])))]
+    factors = [entry for entry in diagonal if not entry.is_zero]
     zero = Polynomial.zero(1)
     product = matmul(matmul(u_mat, matrix, zero), v_mat, zero)
     uav_ok = all(
@@ -369,9 +371,7 @@ def _classify_matrix(args) -> Tuple[int, dict]:
         "rows": len(matrix),
         "cols": len(matrix[0]),
         "invariant_factors": [str(p) for p in factors],
-        "diagonal": [str(d_mat[i][i]) for i in range(min(len(d_mat), len(d_mat[0])))]
-        if d_mat
-        else [],
+        "diagonal": [str(entry) for entry in diagonal],
         "checks": {
             "uav_equals_d": uav_ok,
             "snf_rank": len(factors),
@@ -588,7 +588,10 @@ def _cmd_restrict(args) -> Tuple[int, dict]:
         },
     }
     if args.output:
-        models.save_model(restricted, args.output)
+        try:
+            models.save_model(restricted, args.output)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
         payload["saved_to"] = args.output
     return (0 if report.ok else 2), payload
 

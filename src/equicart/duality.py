@@ -277,6 +277,21 @@ class ModuleClassification:
     def is_torsion(self) -> bool:
         return self.free_rank == 0
 
+    @property
+    def dual(self) -> "ExtRank1":
+        """Hom and Ext^1 into Q[u] of the classified module."""
+        ext0 = ModuleClassification(
+            free_rank=self.free_rank,
+            free_degrees=tuple(sorted(-a for a in self.free_degrees)),
+            divisors=(),
+            torsion_degrees=(),
+        )
+        ext1 = tuple(
+            (divisor, b + 2 * divisor.degree())
+            for divisor, b in zip(self.divisors, self.torsion_degrees)
+        )
+        return ExtRank1(ext0=ext0, ext1=ext1)
+
     def implied_hilbert(self, cutoff: int) -> List[int]:
         """Dimension table 0..cutoff the decomposition predicts."""
         table = [0] * (cutoff + 1)
@@ -495,17 +510,4 @@ class ExtRank1:
 
 
 def ext_rank1(p: ModulePresentation) -> ExtRank1:
-    classification = classify_presentation(p)
-    ext0 = ModuleClassification(
-        free_rank=classification.free_rank,
-        free_degrees=tuple(sorted(-a for a in classification.free_degrees)),
-        divisors=(),
-        torsion_degrees=(),
-    )
-    ext1 = tuple(
-        (divisor, b + 2 * divisor.degree())
-        for divisor, b in zip(
-            classification.divisors, classification.torsion_degrees
-        )
-    )
-    return ExtRank1(ext0=ext0, ext1=ext1)
+    return classify_presentation(p).dual

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     DEFAULT_SEED,
@@ -290,6 +290,20 @@ def cartan_differential(
     return out
 
 
+def graded_product(
+    model: InvariantModel, i: int, j: int
+) -> Optional[Tuple[Mapping[int, Fraction], int]]:
+    """(row, sign): the table row stored for generators i * j under the
+    canonical key (min, max), and the graded sign (-1)^{|i||j|} the product
+    carries when i > j; None when the partial table has no entry."""
+    if i <= j:
+        row, sign = model.product_table.get((i, j)), 1
+    else:
+        row = model.product_table.get((j, i))
+        sign = (-1) ** (model.generators[i].degree * model.generators[j].degree)
+    return None if row is None else (row, sign)
+
+
 def element_product(
     model: InvariantModel, x: EquivariantElement, y: EquivariantElement
 ) -> EquivariantElement:
@@ -299,17 +313,13 @@ def element_product(
     terms: Dict[int, Coefficient] = {}
     for i, ci in x.terms.items():
         for j, cj in y.terms.items():
-            key = (i, j) if i <= j else (j, i)
-            if key not in model.product_table:
+            found = graded_product(model, i, j)
+            if found is None:
                 raise MissingProductError(
                     model.generators[i].name, model.generators[j].name
                 )
-            sign = 1
-            if i > j:
-                di = model.generators[i].degree
-                dj = model.generators[j].degree
-                sign = (-1) ** (di * dj)
-            for k, val in model.product_table[key].items():
+            row, sign = found
+            for k, val in row.items():
                 add = ci * cj * (val * sign)
                 terms[k] = terms[k] + add if k in terms else add
     return EquivariantElement(model, terms)
@@ -359,17 +369,26 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _column(matrix, g: int) -> List[Fraction]:
-    return [matrix[h][g] for h in range(len(matrix))]
-
-
-def _residual_string(model: InvariantModel, column: Sequence[Fraction]) -> str:
-    parts = [
-        f"{val}*{model.generators[h].name}"
-        for h, val in enumerate(column)
-        if val != 0
-    ]
-    return " + ".join(parts) if parts else "0"
+def operator_residuals(
+    rows: Sequence[Generator], left, right=None, subtract: bool = False
+) -> Iterator[Tuple[int, str]]:
+    """(column, witness) for each column of left + right (left - right with
+    subtract, left alone without right) that is not zero; rows are indexed
+    by ``rows`` and the witness lists the column's nonzero entries as
+    "value*name" joined by " + "."""
+    size = len(left)
+    for g in range(len(left[0]) if left else 0):
+        col = [left[h][g] for h in range(size)]
+        if right is not None:
+            # most entries are zero: do arithmetic only where right has a term
+            for h in range(size):
+                r = right[h][g]
+                if r:
+                    col[h] = col[h] - r if subtract else col[h] + r
+        if any(col):
+            yield g, " + ".join(
+                f"{v}*{rows[h].name}" for h, v in enumerate(col) if v
+            )
 
 
 def validate_model(model: InvariantModel) -> ValidationReport:
@@ -396,46 +415,30 @@ def validate_model(model: InvariantModel) -> ValidationReport:
     for i, c in enumerate(model.contractions):
         check_degree_shift(c, -1, f"c_{i + 1}")
 
-    dd = matmul(model.d, model.d, Fraction(0))
-    for g in range(size):
-        col = _column(dd, g)
-        if any(v != 0 for v in col):
-            issues.append(
-                ValidationIssue(
-                    axiom="d o d = 0",
-                    where=gens[g].name,
-                    witness=_residual_string(model, col),
-                )
-            )
+    def operator_identity(axiom: str, where: str, left, right=None):
+        issues.extend(
+            ValidationIssue(axiom=axiom, where=where + gens[g].name, witness=witness)
+            for g, witness in operator_residuals(gens, left, right)
+        )
 
+    zero = Fraction(0)
+    operator_identity("d o d = 0", "", matmul(model.d, model.d, zero))
     for i, c in enumerate(model.contractions):
-        anti = matmul(model.d, c, Fraction(0))
-        cd = matmul(c, model.d, Fraction(0))
-        for g in range(size):
-            col = [anti[h][g] + cd[h][g] for h in range(size)]
-            if any(v != 0 for v in col):
-                issues.append(
-                    ValidationIssue(
-                        axiom="d o c + c o d = 0",
-                        where=f"c_{i + 1} on {gens[g].name}",
-                        witness=_residual_string(model, col),
-                    )
-                )
-
+        operator_identity(
+            "d o c + c o d = 0",
+            f"c_{i + 1} on ",
+            matmul(model.d, c, zero),
+            matmul(c, model.d, zero),
+        )
     for i in range(model.torus_rank):
         for j in range(i, model.torus_rank):
-            cc = matmul(model.contractions[i], model.contractions[j], Fraction(0))
-            ccr = matmul(model.contractions[j], model.contractions[i], Fraction(0))
-            for g in range(size):
-                col = [cc[h][g] + ccr[h][g] for h in range(size)]
-                if any(v != 0 for v in col):
-                    issues.append(
-                        ValidationIssue(
-                            axiom="c_i o c_j + c_j o c_i = 0",
-                            where=f"(c_{i + 1}, c_{j + 1}) on {gens[g].name}",
-                            witness=_residual_string(model, col),
-                        )
-                    )
+            ci, cj = model.contractions[i], model.contractions[j]
+            operator_identity(
+                "c_i o c_j + c_j o c_i = 0",
+                f"(c_{i + 1}, c_{j + 1}) on ",
+                matmul(ci, cj, zero),
+                matmul(cj, ci, zero),
+            )
 
     for g in range(size):
         if degrees[g] > model.top_degree:

@@ -44,9 +44,11 @@ from .euler import FixedPointDatum
 from .gcomplex import (
     EquivariantElement,
     InvariantModel,
+    apply_rational_matrix,
     cartan_differential,
     cartan_parity_matrices,
     element_product,
+    operator_residuals,
     zero_element,
 )
 
@@ -150,15 +152,6 @@ class MapReport:
         return "\n".join(lines)
 
 
-def _difference_column(matrix_a, matrix_b, col: int, gens) -> str:
-    parts = []
-    for i in range(len(matrix_a)):
-        delta = matrix_a[i][col] - matrix_b[i][col]
-        if delta != 0:
-            parts.append(f"{delta}*{gens[i].name}")
-    return " + ".join(parts) if parts else "0"
-
-
 def validate_map(f: ModelMap) -> MapReport:
     """Exact matrix identities: degree 0, pullback*d = d*pullback and
     pullback*c_i = c_i*pullback for every i."""
@@ -184,15 +177,14 @@ def validate_map(f: ModelMap) -> MapReport:
     def commute(target_op, source_op, label: str):
         lhs = matmul(f.pullback, target_op, Fraction(0))
         rhs = matmul(source_op, f.pullback, Fraction(0))
-        for t in range(len(tgt.generators)):
-            if any(lhs[i][t] != rhs[i][t] for i in range(len(src.generators))):
-                issues.append(
-                    MapIssue(
-                        law=f"pullback commutes with {label}",
-                        where=tgt.generators[t].name,
-                        witness=_difference_column(lhs, rhs, t, src.generators),
-                    )
-                )
+        issues.extend(
+            MapIssue(
+                law=f"pullback commutes with {label}",
+                where=tgt.generators[t].name,
+                witness=witness,
+            )
+            for t, witness in operator_residuals(src.generators, lhs, rhs, subtract=True)
+        )
 
     commute(tgt.d, src.d, "d")
     for i in range(src.torus_rank):
@@ -204,15 +196,7 @@ def pullback_element(f: ModelMap, x: EquivariantElement) -> EquivariantElement:
     """Apply the pullback matrix S(t)-linearly to a target element."""
     if x.model is not f.target:
         raise ValueError("element does not live on the map's target")
-    terms: Dict[int, object] = {}
-    for t, coeff in x.terms.items():
-        for s in range(len(f.source.generators)):
-            entry = f.pullback[s][t]
-            if entry == 0:
-                continue
-            add = coeff * entry
-            terms[s] = terms[s] + add if s in terms else add
-    return EquivariantElement(f.source, terms)
+    return apply_rational_matrix(f.source, f.pullback, x)
 
 
 def _parity_of(x: EquivariantElement) -> int:
@@ -558,13 +542,9 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
         raise ValueError("phi_top must be homogeneous in generator degree")
     k = degrees.pop()
 
-    size = len(model.generators)
-    d_phi = [Fraction(0)] * size
-    for idx, value in top_vec.items():
-        for h in range(size):
-            d_phi[h] += model.d[h][idx] * value
-    if any(v != 0 for v in d_phi):
+    if not apply_rational_matrix(model, model.d, phi_top).is_zero:
         raise ValueError("phi_top is not d-closed")
+    size = len(model.generators)
 
     # components[j] maps exponent tuple (|a| = j) -> generator vector over Q
     components: List[Dict[tuple, Dict[int, Fraction]]] = [

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Polynomial
 from .euler import FixedPointDatum, LinearRepresentation, Weight
-from .gcomplex import Generator, InvariantModel, validate_model
+from .gcomplex import Generator, InvariantModel, graded_product, validate_model
 from .gysin import ModelMap, identity_map, validate_map
 
 
@@ -278,19 +278,6 @@ def _weight_block(weight: Weight) -> InvariantModel:
     )
 
 
-def _product_lookup(model: InvariantModel, i: int, j: int):
-    """Graded-commutative lookup into a partial table; None when absent."""
-    key = (i, j) if i <= j else (j, i)
-    if key not in model.product_table:
-        return None
-    sign = 1
-    if i > j:
-        di = model.generators[i].degree
-        dj = model.generators[j].degree
-        sign = (-1) ** (di * dj)
-    return {k: v * sign for k, v in model.product_table[key].items()}
-
-
 def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
     """Tensor product of two invariant models over the same torus.
 
@@ -301,7 +288,6 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
     for the caller to supply."""
     if a.torus_rank != b.torus_rank:
         raise ValueError("tensor factors must share the torus rank")
-    n = a.torus_rank
     na, nb = len(a.generators), len(b.generators)
 
     def flat(i: int, j: int) -> int:
@@ -313,37 +299,22 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
             gens.append(Generator(f"{ga.name}.{gb.name}", ga.degree + gb.degree))
     size = na * nb
 
-    d_entries: Dict[Tuple[int, int], Fraction] = {}
-    for g in range(na):
-        sign = Fraction((-1) ** a.generators[g].degree)
-        for l in range(nb):
-            col = flat(g, l)
-            for h in range(na):
-                if a.d[h][g] != 0:
-                    key = (flat(h, l), col)
-                    d_entries[key] = d_entries.get(key, Fraction(0)) + a.d[h][g]
-            for k in range(nb):
-                if b.d[k][l] != 0:
-                    key = (flat(g, k), col)
-                    d_entries[key] = d_entries.get(key, Fraction(0)) + sign * b.d[k][l]
-
-    contraction_list = []
-    for i in range(n):
+    def leibniz(ma, mb):
+        """m(x (x) y) = m(x) (x) y + (-1)^{|x|} x (x) m(y)."""
         entries: Dict[Tuple[int, int], Fraction] = {}
-        ca, cb = a.contractions[i], b.contractions[i]
         for g in range(na):
             sign = Fraction((-1) ** a.generators[g].degree)
+            a_terms = [(h, ma[h][g]) for h in range(na) if ma[h][g] != 0]
             for l in range(nb):
                 col = flat(g, l)
-                for h in range(na):
-                    if ca[h][g] != 0:
-                        key = (flat(h, l), col)
-                        entries[key] = entries.get(key, Fraction(0)) + ca[h][g]
+                for h, value in a_terms:
+                    key = (flat(h, l), col)
+                    entries[key] = entries.get(key, Fraction(0)) + value
                 for k in range(nb):
-                    if cb[k][l] != 0:
+                    if mb[k][l] != 0:
                         key = (flat(g, k), col)
-                        entries[key] = entries.get(key, Fraction(0)) + sign * cb[k][l]
-        contraction_list.append(_matrix(size, entries))
+                        entries[key] = entries.get(key, Fraction(0)) + sign * mb[k][l]
+        return _matrix(size, entries)
 
     top = a.top_degree + b.top_degree
     integration: Dict[int, Fraction] = {}
@@ -363,16 +334,17 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
                     left, right = flat(p1, p2), flat(q1, q2)
                     if left > right:
                         continue
-                    r1 = _product_lookup(a, p1, q1)
-                    r2 = _product_lookup(b, p2, q2)
+                    r1 = graded_product(a, p1, q1)
+                    r2 = graded_product(b, p2, q2)
                     if r1 is None or r2 is None:
                         continue
-                    outer = (-1) ** (
+                    (row1, sign1), (row2, sign2) = r1, r2
+                    outer = sign1 * sign2 * (-1) ** (
                         b.generators[p2].degree * a.generators[q1].degree
                     )
                     value: Dict[int, Fraction] = {}
-                    for k1, v1 in r1.items():
-                        for k2, v2 in r2.items():
+                    for k1, v1 in row1.items():
+                        for k2, v2 in row2.items():
                             idx = flat(k1, k2)
                             value[idx] = value.get(idx, Fraction(0)) + outer * v1 * v2
                     products[(left, right)] = {
@@ -381,10 +353,10 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
 
     return InvariantModel(
         name=f"{a.name}(x){b.name}",
-        torus_rank=n,
+        torus_rank=a.torus_rank,
         generators=tuple(gens),
-        d=_matrix(size, d_entries),
-        contractions=tuple(contraction_list),
+        d=leibniz(a.d, b.d),
+        contractions=tuple(map(leibniz, a.contractions, b.contractions)),
         top_degree=top,
         compact=a.compact and b.compact,
         integration=integration,

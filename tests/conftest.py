@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import os
+import sys
 
+import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -19,3 +21,26 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(function) wraps every equicart module binding of the
+    function with a counter and returns the list the wrapped calls append
+    their arguments to."""
+
+    def install(original):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "equicart" or name.startswith("equicart."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    return install

@@ -100,6 +100,25 @@ def test_validate_rejects_bad_json_with_position(capsys):
     assert ":2:11" in payload["error"]
 
 
+BROKEN_D_SQUARED_JSON = """{
+  "error": "tests/fixtures/broken_d_squared.json: model rejected:\\nmodel 'broken_d_squared': 1 violation(s)\\n  - [d o d = 0] at one: 1*b",
+  "ok": false
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "cohomology"])
+def test_a_rejected_model_file_prints_the_report_as_json(capsys, monkeypatch, command):
+    # validate and every other subcommand share one path for a file the
+    # loader rejects: the report is the payload, exit code 2
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code, out, err = invoke(
+        capsys, command, "--model", "tests/fixtures/broken_d_squared.json",
+        "--format", "json",
+    )
+    assert (code, out, err) == (2, BROKEN_D_SQUARED_JSON, "")
+
+
 def test_validate_accepts_shipped_model_files(capsys):
     for name in ("s2_rotation.json", "circle_free.json",
                  "two_weighted_planes.json", "point_with_s2_maps.json"):
@@ -201,6 +220,27 @@ def test_classify_constant_matrix(capsys):
 def test_classify_matrix_rejects_garbage(capsys):
     code, out, err = invoke(capsys, "classify", "--matrix", "u,oops")
     assert code == 1
+
+
+def test_classify_matrix_rejects_a_zero_denominator(capsys):
+    code, out, err = invoke(capsys, "classify", "--matrix", "1/0u")
+    assert (code, out) == (1, "")
+    assert err == "error: bad coefficient in '1/0u': Fraction(1, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, counted",
+    [
+        (["classify", "--model", "builtin:s2_rotation"], "duality.classify_presentation"),
+        (["classify", "--matrix", "u,0;0,u"], "algebra.smith_normal_form"),
+    ],
+)
+def test_classify_computes_its_decomposition_once(capsys, count_calls, argv, counted):
+    module, name = counted.split(".")
+    calls = count_calls(getattr(getattr(equicart, module), name))
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # -- pairing and duality -------------------------------------------------------------
@@ -332,6 +372,14 @@ def test_thom_rejects_unknown_generator(capsys):
     assert code == 1
 
 
+def test_thom_rejects_a_zero_denominator(capsys):
+    code, out, err = invoke(
+        capsys, "thom", "--model", "builtin:s2_rotation", "--top", "vol:1/0"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: bad coefficient in 'vol:1/0': Fraction(1, 0)\n"
+
+
 # -- euler, localize, lefschetz ----------------------------------------------------------
 
 
@@ -437,6 +485,16 @@ def test_restrict_to_rank_zero_and_save(capsys, tmp_path):
     assert payload["saved_to"] == str(out_path)
     reloaded = load_model(out_path)
     assert reloaded.torus_rank == 0
+
+
+def test_restrict_to_an_unwritable_path_is_usage(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "x.json"
+    code, out, err = invoke(
+        capsys, "restrict", "--model", "builtin:s2_rotation",
+        "--matrix", "1,2", "--output", str(out_path),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {out_path}: No such file or directory\n"
 
 
 def test_restrict_shape_error_is_usage(capsys):

@@ -29,6 +29,7 @@ from equicart.gcomplex import (
     validate_model,
 )
 from equicart import gcomplex, gysin
+from equicart.euler import LinearRepresentation
 from equicart.gysin import identity_map, restrict_map, restrict_subtorus, validate_map
 from equicart.models import (
     builtin_map,
@@ -125,6 +126,87 @@ def test_contraction_anticommutation_between_variables():
     )
 
 
+def _with_point_data(model, index=0, **changes):
+    """The model with fields of its index-th fixed point replaced."""
+    points = list(model.fixed_points)
+    points[index] = dataclasses.replace(points[index], **changes)
+    return dataclasses.replace(model, fixed_points=tuple(points))
+
+
+def _with(model, field, entries):
+    """The model with entries added to (or replaced in) a mapping field."""
+    return dataclasses.replace(model, **{field: {**getattr(model, field), **entries}})
+
+
+# one corruption of a builtin per auxiliary axiom, and the single issue it raises
+AUXILIARY_AXIOM_CASES = {
+    "degrees bounded": (
+        lambda: dataclasses.replace(
+            point(1), top_degree=-1, compact=False, integration={}, fixed_points=()
+        ),
+        ("generator degrees bounded by top_degree", "one", "degree 0 > -1"),
+    ),
+    "product degree additivity": (
+        lambda: _with(s2_rotation(), "product_table", {(0, 3): {6: Fraction(1)}}),
+        ("product degree additivity", "one * dt", "lands on vol of degree 2, expected 1"),
+    ),
+    "graded commutativity": (
+        lambda: _with(
+            s2_rotation(), "product_table", {(3, 3): {6: Fraction(0), 7: Fraction(-1)}}
+        ),
+        ("graded commutativity", "dt * dt", "odd generator has nonzero square"),
+    ),
+    "integration covers top degree": (
+        lambda: dataclasses.replace(s2_rotation(), integration={6: Fraction(2)}),
+        ("integration covers top degree", "tvol", "no integration entry"),
+    ),
+    "integration only on top degree": (
+        lambda: _with(s2_rotation(), "integration", {0: Fraction(1)}),
+        ("integration only on top degree", "one", "degree 0 != 2"),
+    ),
+    "named cocycles homogeneous": (
+        lambda: _with(
+            s2_rotation(), "named_cocycles",
+            {"mixed": {0: Polynomial.one(1), 6: Polynomial.one(1), 1: U}},
+        ),
+        ("named cocycles homogeneous", "mixed", "mixed total degree"),
+    ),
+    "fixed-point tangent rank": (
+        lambda: _with_point_data(point(1), tangent=LinearRepresentation(2)),
+        ("fixed-point tangent rank", "pt", "rank 2 != 1"),
+    ),
+    "fixed-point tangent dimension": (
+        lambda: _with_point_data(point(1), tangent=LinearRepresentation(1, 2)),
+        ("fixed-point tangent dimension", "pt", "dim 2 != 0"),
+    ),
+    "evaluations name generators": (
+        lambda: _with_point_data(point(1), evaluations={"one": Fraction(1), "zz": Fraction(0)}),
+        ("fixed-point evaluations name generators", "pt", "unknown generator 'zz'"),
+    ),
+    "evaluations only in degree 0": (
+        lambda: _with_point_data(
+            s2_rotation(),
+            evaluations={**s2_rotation().fixed_points[0].evaluations, "vol": Fraction(1)},
+        ),
+        ("fixed-point evaluations only in degree 0", "north", "'vol' has positive degree"),
+    ),
+    "restrictions match evaluations": (
+        lambda: _with_point_data(
+            s2_rotation(), 1,
+            restrictions={**s2_rotation().fixed_points[1].restrictions, "w": 2 * U},
+        ),
+        ("restrictions match cocycle evaluations", "w at south", "declared 2*u, evaluated -u"),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(AUXILIARY_AXIOM_CASES))
+def test_each_auxiliary_axiom_reports_its_exact_issue(label):
+    corrupt, expected = AUXILIARY_AXIOM_CASES[label]
+    issues = validate_model(corrupt()).issues
+    assert [(i.axiom, i.where, i.witness) for i in issues] == [expected]
+
+
 # -- the Cartan differential ---------------------------------------------------
 
 
@@ -192,6 +274,13 @@ def test_graded_swap_sign_for_odd_generators():
     vol = element(model, {"vol": 1})
     # t and vol commute (degree 0 times degree 2)
     assert element_product(model, t, vol) == element_product(model, vol, t)
+    # two odd generators of a product model anticommute, and their product
+    # is stored for one order only
+    model = tensor_product(circle_free(), circle_free())
+    x = element(model, {"a.one": 1})
+    y = element(model, {"one.a": 1})
+    assert element_product(model, x, y) == element(model, {"a.a": 1})
+    assert element_product(model, y, x) == element(model, {"a.a": -1})
 
 
 def test_volume_square_is_exact():

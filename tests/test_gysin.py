@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import sys
 from fractions import Fraction
 
 import pytest
@@ -290,23 +289,6 @@ def test_projection_formula_report_text():
 # -- one analysis per call ------------------------------------------------------------
 
 
-def _count_generic_cohomology(monkeypatch):
-    """Wrap every module binding of cohomology_generic with a counter."""
-    original = gcomplex.cohomology_generic
-    calls = []
-
-    def counted(model):
-        calls.append(model)
-        return original(model)
-
-    for name, module in list(sys.modules.items()):
-        if name == "equicart" or name.startswith("equicart."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
-
-
 def _run_cli_quietly(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(argv) == 0
@@ -323,9 +305,9 @@ ONE_ANALYSIS_CALLS = {
 
 
 @pytest.mark.parametrize("label", sorted(ONE_ANALYSIS_CALLS))
-def test_each_model_cohomology_is_computed_once_per_call(monkeypatch, label):
+def test_each_model_cohomology_is_computed_once_per_call(count_calls, label):
     call, expected = ONE_ANALYSIS_CALLS[label]
-    calls = _count_generic_cohomology(monkeypatch)
+    calls = count_calls(gcomplex.cohomology_generic)
     call()
     assert len(calls) == expected
 

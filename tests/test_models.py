@@ -130,6 +130,93 @@ def test_tensor_product_koszul_sign_in_the_differential():
     assert element_product(model, left, left).is_zero
 
 
+def _graded_table_product(model, i, j):
+    """Dense vector of generator i times generator j, or None when the
+    partial table has no entry for the pair."""
+    key = (min(i, j), max(i, j))
+    if key not in model.product_table:
+        return None
+    sign = (-1) ** (model.generators[i].degree * model.generators[j].degree) if i > j else 1
+    out = [Fraction(0)] * len(model.generators)
+    for k, v in model.product_table[key].items():
+        out[k] += sign * v
+    return out
+
+
+def _kronecker_reference(a, b):
+    """d, each c_i, integration and products of a (x) b, written out densely:
+    operators as M (x) 1 + eps (x) M with eps = (-1)^{|x|} on the left
+    factor, products with the Koszul sign (-1)^{|x2||y1|}."""
+    na, nb = len(a.generators), len(b.generators)
+    pairs = [(i, j) for i in range(na) for j in range(nb)]
+    degree = [a.generators[i].degree + b.generators[j].degree for i, j in pairs]
+
+    def leibniz(ma, mb):
+        return tuple(
+            tuple(
+                ma[h][g] * (k == l) + (h == g) * (-1) ** a.generators[g].degree * mb[k][l]
+                for g, l in pairs
+            )
+            for h, k in pairs
+        )
+
+    d = leibniz(a.d, b.d)
+    contractions = tuple(
+        leibniz(ca, cb) for ca, cb in zip(a.contractions, b.contractions)
+    )
+    integration = {}
+    if a.compact and b.compact:
+        top = a.top_degree + b.top_degree
+        for x, (i, j) in enumerate(pairs):
+            if degree[x] == top:
+                integration[x] = a.integration.get(i, 0) * b.integration.get(j, 0)
+    products = {}
+    for p, (p1, p2) in enumerate(pairs):
+        for q, (q1, q2) in enumerate(pairs):
+            if p > q:
+                continue
+            left = _graded_table_product(a, p1, q1)
+            right = _graded_table_product(b, p2, q2)
+            if left is None or right is None:
+                continue
+            koszul = (-1) ** (b.generators[p2].degree * a.generators[q1].degree)
+            products[(p, q)] = {
+                k: koszul * left[k1] * right[k2]
+                for k, (k1, k2) in enumerate(pairs)
+                if left[k1] * right[k2] != 0
+            }
+    return d, contractions, integration, products
+
+
+def _restricted_s2():
+    from equicart.gysin import restrict_subtorus
+
+    return restrict_subtorus(s2_rotation(), [[1, 2]])
+
+
+TENSOR_CASES = {
+    "s2 x s2": lambda: (s2_rotation(), s2_rotation()),
+    "s2 x c_alpha(2)": lambda: (s2_rotation(), builtin("c_alpha(2)")),
+    "c_alpha(1,0;0,1) x s2|[[1,2]]": lambda: (builtin("c_alpha(1,0;0,1)"), _restricted_s2()),
+    "circle_trivial(2) x rema_adj": lambda: (builtin("circle_trivial(2)"), builtin("rema_adj")),
+    # a right factor whose table has a nonzero product of odd generators
+    "circle_free x circle_free^2": lambda: (
+        builtin("circle_free"), tensor_product(builtin("circle_free"), builtin("circle_free"))
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TENSOR_CASES))
+def test_tensor_product_matches_a_dense_kronecker_reference(label):
+    a, b = TENSOR_CASES[label]()
+    model = tensor_product(a, b)
+    d, contractions, integration, products = _kronecker_reference(a, b)
+    assert model.d == d
+    assert model.contractions == contractions
+    assert dict(model.integration) == integration
+    assert {key: dict(value) for key, value in model.product_table.items()} == products
+
+
 def test_tensor_product_integration_is_multiplicative():
     from equicart.duality import integrate
 
