@@ -5,12 +5,15 @@ twice the polynomial degree, so each u_i sits in cohomological degree 2),
 rational functions with cross-multiplication equality, and Smith normal form
 over the univariate ring Q[u].
 
-All exact linear algebra (ranks, solutions for many right-hand sides, kernels,
-determinants) goes through one sparse, row-incremental, fraction-free
-(Bareiss) echelon core, ``Echelon``, over two coefficient domains: Q with
-Fraction entries, and Q[u_1..u_n] with Polynomial entries, into which rows over
-the fraction field are cleared.  ``rank_rational``, ``solve_rational``,
-``rank_and_solve`` and ``determinant`` are entry points over it.
+Every exact kernel computes on Python ints: a Polynomial holds integer
+coefficients over one positive denominator, and Fraction appears only at the
+boundary (constructor input, the read-only ``Polynomial.terms`` view, printed
+output and returned solutions).  All exact linear algebra (ranks, solutions
+for many right-hand sides, kernels, determinants) goes through one sparse,
+row-incremental, fraction-free (Bareiss) echelon core, ``Echelon``, over Z or
+Z[u_1..u_n], into which rows over Q, Q[u] and its fraction field are cleared;
+``rank_rational``, ``solve_rational``, ``rank_and_solve`` and ``determinant``
+are entry points over it.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import truediv
-from typing import Iterable, Optional, Sequence, Union
+from math import gcd, lcm
+from operator import add, floordiv, sub
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 
@@ -48,17 +52,30 @@ def _as_fraction(value: Union[int, Fraction]) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _reduced(num: dict, den: int) -> tuple:
+    """(num, den) divided by gcd(den, every numerator): the canonical pair."""
+    if den > 1:
+        g = gcd(den, *num.values())
+        if g > 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return num, den
+
+
 class Polynomial:
     """Multivariate polynomial over Q with exact coefficients.
 
-    Terms map exponent tuples of length ``torus_rank`` to nonzero rational
-    coefficients; zero coefficients are never stored.  The cohomological
-    degree of a monomial is twice its polynomial degree.
+    Stored as integer coefficients over one positive denominator (Gauss's
+    lemma): ``_num`` maps exponent tuples of length ``torus_rank`` to nonzero
+    ints, and ``_den`` is coprime to all of them, so equal polynomials store
+    equal pairs.  ``terms`` is the read-only view {exponents: Fraction},
+    built on first read.  The cohomological degree of a monomial is twice
+    its polynomial degree.
     """
 
-    __slots__ = ("torus_rank", "terms")
+    __slots__ = ("torus_rank", "_num", "_den", "_terms")
 
-    def __init__(self, torus_rank: int, terms: Optional[dict] = None):
+    def __new__(cls, torus_rank: int, terms: Optional[dict] = None):
         if torus_rank < 0:
             raise ValueError("torus_rank must be >= 0")
         clean: dict = {}
@@ -70,57 +87,54 @@ class Polynomial:
                 )
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            coeff = _as_fraction(coeff)
-            if coeff != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                if clean[exps] == 0:
-                    del clean[exps]
-        object.__setattr__(self, "torus_rank", torus_rank)
-        object.__setattr__(self, "terms", clean)
+            clean[exps] = clean.get(exps, 0) + _as_fraction(coeff)
+        clean = {e: c for e, c in clean.items() if c}
+        # the lcm of reduced denominators is coprime to the scaled numerators
+        den = lcm(*[c.denominator for c in clean.values()])
+        num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        return _poly(torus_rank, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    @classmethod
-    def _raw(cls, torus_rank: int, clean: dict) -> "Polynomial":
-        """Internal: wrap an already-normalized term dict (valid exponent
-        tuples, nonzero Fraction coefficients) without re-validating."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "torus_rank", torus_rank)
-        object.__setattr__(out, "terms", clean)
-        return out
+    @property
+    def terms(self) -> Mapping:
+        view = self._terms
+        if view is None:
+            den = self._den
+            view = MappingProxyType({e: Fraction(c, den) for e, c in self._num.items()})
+            _SET_TERMS(self, view)
+        return view
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, torus_rank: int) -> "Polynomial":
-        return cls(torus_rank, {})
+        return _poly(torus_rank, {})
 
     @classmethod
     def one(cls, torus_rank: int) -> "Polynomial":
-        return cls.constant(torus_rank, Fraction(1))
+        return _poly(torus_rank, {(0,) * torus_rank: 1})
 
     @classmethod
     def constant(cls, torus_rank: int, value: Union[int, Fraction]) -> "Polynomial":
-        return cls(torus_rank, {(0,) * torus_rank: _as_fraction(value)})
+        if not isinstance(value, (int, Fraction)):
+            value = _as_fraction(value)  # raises TypeError
+        if not value:
+            return _poly(torus_rank, {})
+        return _poly(torus_rank, {(0,) * torus_rank: value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, torus_rank: int, index: int) -> "Polynomial":
         if not 0 <= index < torus_rank:
             raise ValueError(f"variable index {index} out of range for rank {torus_rank}")
-        exps = tuple(1 if i == index else 0 for i in range(torus_rank))
-        return cls(torus_rank, {exps: Fraction(1)})
+        return cls.monomial(torus_rank, [int(i == index) for i in range(torus_rank)])
 
     @classmethod
     def linear(cls, coeffs: Sequence[Union[int, Fraction]]) -> "Polynomial":
         """The linear form sum_i coeffs[i] * u_i."""
         n = len(coeffs)
-        terms = {}
-        for i, c in enumerate(coeffs):
-            c = _as_fraction(c)
-            if c != 0:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = c
-        return cls(n, terms)
+        return cls(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
 
     @classmethod
     def monomial(
@@ -132,71 +146,71 @@ class Polynomial:
 
     def _check_rank(self, other: "Polynomial") -> None:
         if self.torus_rank != other.torus_rank:
-            raise ValueError(
-                f"rank mismatch: {self.torus_rank} vs {other.torus_rank}"
-            )
+            raise ValueError(f"rank mismatch: {self.torus_rank} vs {other.torus_rank}")
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.torus_rank, other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         self._check_rank(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = terms.get(exps, 0) + coeff
-            if total == 0:
-                terms.pop(exps, None)
+        if not other._num:
+            return self
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        f1, f2 = den // d1, sign * (den // d2)
+        num = dict(self._num) if f1 == 1 else {e: c * f1 for e, c in self._num.items()}
+        for e, c in other._num.items():
+            total = num.get(e, 0) + f2 * c
+            if total:
+                num[e] = total
             else:
-                terms[exps] = total
-        return Polynomial._raw(self.torus_rank, terms)
+                del num[e]
+        return _poly(self.torus_rank, *_reduced(num, den))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(
-            self.torus_rank, {e: -c for e, c in self.terms.items()}
-        )
+        return _poly(self.torus_rank, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.torus_rank, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_rank(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = terms.get(exps, 0) - coeff
-            if total == 0:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = total
-        return Polynomial._raw(self.torus_rank, terms)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Polynomial.zero(self.torus_rank)
-            factor = _as_fraction(other)
-            return Polynomial._raw(
-                self.torus_rank, {e: c * factor for e, c in self.terms.items()}
-            )
+            if not other:
+                return _poly(self.torus_rank, {})
+            return _rescale(self, other.numerator, other.denominator)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_rank(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(e, 0) + c1 * c2
-                if total == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = total
-        return Polynomial._raw(self.torus_rank, terms)
+        a, b = self._num, other._num
+        if len(a) < len(b):
+            a, b = b, a
+        rank1 = self.torus_rank == 1  # the common case: add 1-tuples directly
+        if len(b) <= 1:  # zero or a monomial: no two products share exponents
+            num = {
+                (e1[0] + e2[0],) if rank1 else tuple(map(add, e1, e2)): c1 * c2
+                for e2, c2 in b.items() for e1, c1 in a.items()
+            }
+        else:
+            num = {}
+            for e1, c1 in a.items():
+                for e2, c2 in b.items():
+                    e = (e1[0] + e2[0],) if rank1 else tuple(map(add, e1, e2))
+                    total = num.get(e, 0) + c1 * c2
+                    if total:
+                        num[e] = total
+                    else:
+                        del num[e]
+        return _poly(self.torus_rank, *_reduced(num, self._den * other._den))
 
     __rmul__ = __mul__
 
@@ -213,59 +227,44 @@ class Polynomial:
             other = Polynomial.constant(self.torus_rank, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.torus_rank == other.torus_rank and self.terms == other.terms
+        rank, den = self.torus_rank, self._den
+        return rank == other.torus_rank and den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.torus_rank, frozenset(self.terms.items())))
+        return hash((self.torus_rank, self._den, frozenset(self._num.items())))
 
     # -- queries ---------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * self.torus_rank, Fraction(0))
+        num = self._num
+        return not num or (len(num) == 1 and not any(next(iter(num))))
 
     def degree(self) -> int:
         """Polynomial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self._num), default=-1)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self._num))) <= 1
 
     def cohomological_degree(self) -> Optional[int]:
         """2 * polynomial degree for nonzero homogeneous input, else None."""
-        if self.is_zero or not self.is_homogeneous():
-            return None
-        return 2 * self.degree()
+        return None if self.is_zero or not self.is_homogeneous() else 2 * self.degree()
 
     def lex_leading(self) -> tuple:
         """(exponents, coefficient) of the lexicographically largest term."""
         if self.is_zero:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms)
-        return exps, self.terms[exps]
+        exps = max(self._num)
+        return exps, Fraction(self._num[exps], self._den)
 
     def content(self) -> Fraction:
         """Positive rational c with self/c having coprime integer coefficients."""
-        if self.is_zero:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = den * c.denominator // gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(gcd(*self._num.values()), self._den) if self._num else Fraction(1)
 
     # -- maps ------------------------------------------------------------
 
@@ -273,13 +272,9 @@ class Polynomial:
         """Substitute u_i -> images[i]; images live in a common target ring."""
         if len(images) != self.torus_rank:
             raise ValueError("one image per variable required")
-        if self.torus_rank == 0:
-            target = 0
-        else:
-            target = images[0].torus_rank
-            for img in images:
-                if img.torus_rank != target:
-                    raise ValueError("images must share a torus rank")
+        target = images[0].torus_rank if images else 0
+        if any(img.torus_rank != target for img in images):
+            raise ValueError("images must share a torus rank")
         result = Polynomial.zero(target)
         for exps, coeff in sorted(self.terms.items()):
             term = Polynomial.constant(target, coeff)
@@ -293,37 +288,24 @@ class Polynomial:
         if len(point) != self.torus_rank:
             raise ValueError("one value per variable required")
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            val = coeff
+        for exps, coeff in self._num.items():
+            val = Fraction(coeff)
             for x, e in zip(point, exps):
                 val *= _as_fraction(x) ** e
             total += val
-        return total
+        return total / self._den
 
     # -- display ---------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        names = ["u"] if self.torus_rank == 1 else [f"u{i + 1}" for i in range(self.torus_rank)]
         parts = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = "u" if self.torus_rank == 1 else f"u{i + 1}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            body = "*".join(factors)
-            if not body:
-                text = str(coeff)
-            elif coeff == 1:
-                text = body
-            elif coeff == -1:
-                text = f"-{body}"
-            else:
-                text = f"{coeff}*{body}"
-            parts.append(text)
+        for exps, coeff in sorted(self.terms.items(), reverse=True):
+            body = "*".join(x if e == 1 else f"{x}^{e}" for x, e in zip(names, exps) if e)
+            sign = "" if coeff == 1 else "-" if coeff == -1 else f"{coeff}*"
+            parts.append(f"{sign}{body}" if body else str(coeff))
         out = parts[0]
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
@@ -333,7 +315,72 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+_new = object.__new__
+_SET_RANK, _SET_NUM, _SET_DEN, _SET_TERMS = (
+    Polynomial.__dict__[name].__set__ for name in Polynomial.__slots__
+)
+
+
+def _poly(torus_rank: int, num: dict, den: int = 1) -> Polynomial:
+    """Internal: wrap a canonical pair (valid exponent tuples, nonzero int
+    numerators, a positive denominator coprime to them) without checks."""
+    out = _new(Polynomial)
+    _SET_RANK(out, torus_rank)
+    _SET_NUM(out, num)
+    _SET_DEN(out, den)
+    _SET_TERMS(out, None)
+    return out
+
+
+def _rescale(p: Polynomial, k: int, m: int) -> Polynomial:
+    """p * k / m for nonzero ints k and m."""
+    if m < 0:
+        k, m = -k, -m
+    if k == m or not p._num:
+        return p
+    return _poly(p.torus_rank, *_reduced({e: c * k for e, c in p._num.items()}, p._den * m))
+
+
 # -- univariate and exact-division helpers --------------------------------
+
+
+def _dense(p: Polynomial) -> list:
+    """Integer numerator of a rank-1 polynomial, constant coefficient first."""
+    return [p._num.get((e,), 0) for e in range(p.degree() + 1)]
+
+
+def _from_dense(coeffs: list, den: int) -> Polynomial:
+    """sum_e coeffs[e] * u^e / den for a nonzero int den."""
+    return _rescale(_poly(1, {(e,): c for e, c in enumerate(coeffs) if c}), 1, den)
+
+
+def _pseudo_divmod(a: list, b: list) -> tuple:
+    """(q, r, s) with s * a = q * b + r, deg r < deg b, for dense integer lists
+    with deg a >= deg b >= 0: pseudo-division (Knuth, TAOCP vol. 2 §4.6.1) that
+    scales by lead(b) only where a quotient coefficient is not an integer."""
+    lead, db = b[-1], len(b) - 1
+    r, q, s = list(a), [0] * (len(a) - db), 1
+    for k in range(len(q) - 1, -1, -1):
+        c = r[db + k]
+        if not c:
+            continue
+        t, rest = divmod(c, lead)
+        if rest:
+            q = [x * lead for x in q]
+            r = [x * lead for x in r]
+            s, t = s * lead, c
+        q[k] = t
+        for i, y in enumerate(b):
+            r[i + k] -= t * y
+    return q, r[:db], s
+
+
+def _primitive(coeffs: list) -> list:
+    """A dense integer list without trailing zeros, divided by its content."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    g = gcd(*coeffs)
+    return [c // g for c in coeffs] if g > 1 else coeffs
 
 
 def poly_divmod(a: Polynomial, b: Polynomial) -> tuple:
@@ -342,70 +389,82 @@ def poly_divmod(a: Polynomial, b: Polynomial) -> tuple:
         raise UnsupportedRankError("polynomial division requires torus rank 1")
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    da, db = a.degree(), b.degree()
-    if da < db:
+    if a.degree() < b.degree():
         return Polynomial.zero(1), a
-    # dense synthetic division: rank-1 coefficient lists are tiny
-    ca = [Fraction(0)] * (da + 1)
-    for (e,), c in a.terms.items():
-        ca[e] = c
-    cb = [Fraction(0)] * (db + 1)
-    for (e,), c in b.terms.items():
-        cb[e] = c
-    lead_b = cb[db]
-    q = [Fraction(0)] * (da - db + 1)
-    for k in range(da - db, -1, -1):
-        coeff = ca[db + k] / lead_b
-        if coeff:
-            q[k] = coeff
-            for i in range(db + 1):
-                if cb[i]:
-                    ca[i + k] -= coeff * cb[i]
-    quotient = Polynomial._raw(1, {(e,): c for e, c in enumerate(q) if c})
-    remainder = Polynomial._raw(1, {(e,): c for e, c in enumerate(ca[:db]) if c})
-    return quotient, remainder
+    # s*A = q*B + r for the numerators A = a*da, B = b*db, so
+    # a = (q*db / (s*da)) * b + r / (s*da)
+    q, r, s = _pseudo_divmod(_dense(a), _dense(b))
+    return _from_dense([x * b._den for x in q], s * a._den), _from_dense(r, s * a._den)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd in Q[u] (torus rank 1 only)."""
+    """Monic gcd in Q[u] (torus rank 1 only): a primitive pseudo-remainder
+    sequence on the integer numerators."""
     if a.torus_rank != 1 or b.torus_rank != 1:
         raise UnsupportedRankError("polynomial gcd requires torus rank 1")
-    while not b.is_zero:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    lead = a.terms[(a.degree(),)]
-    return a * (1 / lead)
+    x, y = _primitive(_dense(a)), _primitive(_dense(b))
+    if len(x) < len(y):
+        x, y = y, x
+    while y:
+        x, y = y, _primitive(_pseudo_divmod(x, y)[1])
+    return _from_dense(x, x[-1]) if x else Polynomial.zero(1)
 
 
 def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact quotient a/b in any rank; raises if b does not divide a."""
+    """Exact quotient a/b in any rank; raises if b does not divide a.
+
+    The integer numerator of a is divided by the primitive part of b's: when
+    b divides a, every quotient coefficient is an integer (Gauss's lemma).
+    """
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     a._check_rank(b)
-    n = a.torus_rank
-    q = Polynomial.zero(n)
-    r = a
-    lead_e, lead_c = b.lex_leading()
-    while not r.is_zero:
-        re, rc = r.lex_leading()
-        te = tuple(x - y for x, y in zip(re, lead_e))
-        if any(e < 0 for e in te):
+    divisor, den = b._num, a._den
+    lead_e = max(divisor)
+    g = gcd(*divisor.values())
+    if g > 1:
+        divisor, den = {e: c // g for e, c in divisor.items()}, den * g
+    lead, rest, quotient = divisor[lead_e], dict(a._num), {}
+    while rest:
+        exps = max(rest)
+        shift = tuple(map(sub, exps, lead_e))
+        t, r = divmod(rest[exps], lead)
+        if r or min(shift, default=0) < 0:
             raise ValueError(f"{b} does not divide {a}")
-        t = Polynomial.monomial(n, te, rc / lead_c)
-        q = q + t
-        r = r - t * b
-    return q
+        quotient[shift] = t
+        for e, c in divisor.items():
+            key = tuple(map(add, shift, e))
+            v = rest.get(key, 0) - t * c
+            if v:
+                rest[key] = v
+            else:
+                del rest[key]
+    return _poly(a.torus_rank, *_reduced({e: c * b._den for e, c in quotient.items()}, den))
+
+
+def _field_op(method):
+    """The method with its operand coerced to a RationalFunction (from a
+    Polynomial, int or Fraction); NotImplemented for any other type."""
+    def op(self, other):
+        if isinstance(other, Polynomial):
+            other = _rational(other)
+        elif isinstance(other, (int, Fraction)):
+            other = RationalFunction.constant(self.torus_rank, other)
+        elif not isinstance(other, RationalFunction):
+            return NotImplemented
+        return method(self, other)
+    return op
 
 
 class RationalFunction:
     """Element of the fraction field of Q[u_1..u_n].
 
-    Normalization keeps the denominator integer-content-free with positive
-    lexicographic leading coefficient, and fully reduces by the gcd at torus
-    rank 1; equality is always decided by cross-multiplication, so the partial
-    normalization at higher rank is sound.
+    Normalization divides a constant denominator into the numerator, keeps
+    any other denominator integer-content-free with positive lexicographic
+    leading coefficient, and fully reduces by the gcd at torus rank 1.  The
+    form is canonical at ranks 0 and 1, where equality compares the fields;
+    at higher rank equality is decided by cross-multiplication, so the
+    partial normalization there is sound.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -418,21 +477,25 @@ class RationalFunction:
         numerator._check_rank(denominator)
         if denominator.is_zero:
             raise ZeroDivisionError("zero denominator")
+        n = numerator.torus_rank
         if numerator.is_zero:
-            denominator = Polynomial.one(numerator.torus_rank)
-        elif numerator.torus_rank == 1:
-            g = poly_gcd(numerator, denominator)
-            if g.degree() > 0:
-                numerator = poly_exact_div(numerator, g)
-                denominator = poly_exact_div(denominator, g)
-        scale = denominator.content()
-        _, lead = denominator.lex_leading()
-        if lead < 0:
-            scale = -scale
-        numerator = numerator * (1 / scale)
-        denominator = denominator * (1 / scale)
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
+            denominator = Polynomial.one(n)
+        else:
+            if n == 1 and not (numerator.is_constant or denominator.is_constant):
+                g = poly_gcd(numerator, denominator)
+                if g.degree() > 0:
+                    numerator = poly_exact_div(numerator, g)
+                    denominator = poly_exact_div(denominator, g)
+            # content-free, positive leading coefficient: a constant becomes 1
+            coeffs = denominator._num
+            c = gcd(*coeffs.values())
+            if coeffs[max(coeffs)] < 0:
+                c = -c
+            numerator = _rescale(numerator, denominator._den, c)
+            if c != 1 or denominator._den != 1:
+                denominator = _poly(n, {e: v // c for e, v in coeffs.items()})
+        _SET_NUMERATOR(self, numerator)
+        _SET_DENOMINATOR(self, denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -441,15 +504,15 @@ class RationalFunction:
 
     @classmethod
     def zero(cls, torus_rank: int) -> "RationalFunction":
-        return cls(Polynomial.zero(torus_rank))
+        return _rational(Polynomial.zero(torus_rank))
 
     @classmethod
     def one(cls, torus_rank: int) -> "RationalFunction":
-        return cls(Polynomial.one(torus_rank))
+        return _rational(Polynomial.one(torus_rank))
 
     @classmethod
     def constant(cls, torus_rank: int, value: Union[int, Fraction]) -> "RationalFunction":
-        return cls(Polynomial.constant(torus_rank, value))
+        return _rational(Polynomial.constant(torus_rank, value))
 
     @classmethod
     def coerce(cls, value, torus_rank: int) -> "RationalFunction":
@@ -458,7 +521,7 @@ class RationalFunction:
                 raise ValueError("rank mismatch")
             return value
         if isinstance(value, Polynomial):
-            return cls(value)
+            return _rational(value)
         return cls.constant(torus_rank, value)
 
     @property
@@ -467,68 +530,65 @@ class RationalFunction:
 
     # -- field structure -------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            return other
-        if isinstance(other, Polynomial):
-            return RationalFunction(other)
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self.torus_rank, other)
-        return None
-
+    @_field_op
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RationalFunction(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        a, b, c, d = self.numerator, self.denominator, other.numerator, other.denominator
+        # a denominator 1 is left out of the products
+        if b.is_constant:
+            return _rational(a + c, d) if d.is_constant else RationalFunction(a * d + c, d)
+        if d.is_constant:
+            return RationalFunction(a + c * b, b)
+        return RationalFunction(a * d + c * b, b * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.numerator, self.denominator)
+        return _rational(-self.numerator, self.denominator)
 
+    @_field_op
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    @_field_op
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        # a constant factor, or two polynomials, need no normalization
+        for x, y in ((self, other), (other, self)):
+            if y.denominator.is_constant and (y.numerator.is_constant or x.denominator.is_constant):
+                if y.is_zero:
+                    return y
+                return _rational(x.numerator * y.numerator, x.denominator)
         return RationalFunction(
             self.numerator * other.numerator, self.denominator * other.denominator
         )
 
     __rmul__ = __mul__
 
+    @_field_op
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
+        if other.is_polynomial and other.numerator.is_constant:
+            ((_, c),) = other.numerator._num.items()
+            return _rational(_rescale(self.numerator, other.numerator._den, c), self.denominator)
         return RationalFunction(
             self.numerator * other.denominator, self.denominator * other.numerator
         )
 
+    @_field_op
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         return other / self
 
+    @_field_op
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if self.torus_rank <= 1:  # canonical form
+            return self.numerator == other.numerator and self.denominator == other.denominator
         return self.numerator * other.denominator == other.numerator * self.denominator
 
     def __hash__(self):
@@ -544,23 +604,15 @@ class RationalFunction:
 
     @property
     def is_polynomial(self) -> bool:
-        """True when the normalized denominator is the constant 1.
-
-        Exact at ranks 0 and 1; at higher rank a hidden common factor can
-        remain, so False is conservative there.
-        """
-        return self.denominator == Polynomial.one(self.torus_rank)
+        """True when the normalized denominator is the constant 1: exact at
+        ranks 0 and 1; at higher rank a hidden common factor can remain, so
+        False is conservative there."""
+        return self.denominator.is_constant
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
             raise ValueError(f"{self} is not a polynomial")
         return self.numerator
-
-    def substitute(self, images: Sequence[Polynomial]) -> "RationalFunction":
-        den = self.denominator.substitute(images)
-        if den.is_zero:
-            raise ZeroDivisionError("denominator vanishes under substitution")
-        return RationalFunction(self.numerator.substitute(images), den)
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
         den = self.denominator.evaluate(point)
@@ -575,6 +627,21 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+_SET_NUMERATOR, _SET_DENOMINATOR = (
+    RationalFunction.__dict__[name].__set__ for name in RationalFunction.__slots__
+)
+
+
+def _rational(numerator: Polynomial, denominator: Optional[Polynomial] = None):
+    """Internal: wrap a normalized pair (denominator 1 when None)."""
+    if denominator is None:
+        denominator = Polynomial.one(numerator.torus_rank)
+    out = _new(RationalFunction)
+    _SET_NUMERATOR(out, numerator)
+    _SET_DENOMINATOR(out, denominator)
+    return out
 
 
 # -- matrices --------------------------------------------------------------
@@ -596,19 +663,10 @@ class MatrixF:
     def from_rows(cls, rows: Sequence[Sequence]) -> "MatrixF":
         if rows and len({len(r) for r in rows}) != 1:
             raise ValueError("ragged rows")
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        return cls(r, c, tuple(tuple(row) for row in rows))
+        return cls(len(rows), len(rows[0]) if rows else 0, tuple(map(tuple, rows)))
 
     def row_lists(self) -> list:
         return [list(row) for row in self.entries]
-
-    def transpose(self) -> "MatrixF":
-        return MatrixF(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
 
     def __getitem__(self, ij):
         i, j = ij
@@ -636,21 +694,17 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence], zero):
     return out
 
 
-def identity_matrix(n: int, one, zero):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-
-
 # -- the exact echelon core ----------------------------------------------------
 
 
 class Echelon:
     """Sparse, row-incremental, fraction-free echelon form (Bareiss 1968).
 
-    The one elimination of the library.  It runs over Q (``torus_rank``
-    None: Fraction entries, exact division ``/``) or over Q[u_1..u_n]
-    (Polynomial entries, exact division ``poly_exact_div``); a row with
-    RationalFunction entries is cleared into Q[u] by the product of its
-    distinct denominators.
+    The one elimination of the library, over Z (``torus_rank`` None,
+    division ``//``) or Z[u_1..u_n] (division ``poly_exact_div``).  A row is
+    cleared into that domain by the lcm of its Fraction denominators, or by
+    the product of its distinct RationalFunction denominators and then the
+    lcm of its coefficient denominators; ``det`` divides the scales back out.
 
     Rows are dicts column -> nonzero entry.  Columns ``0..ncols-1`` are the
     matrix; the ``nrhs`` columns after them are right-hand sides, which
@@ -669,11 +723,9 @@ class Echelon:
     """
 
     def __init__(self, ncols: int, torus_rank: Optional[int] = None, nrhs: int = 0):
-        self.ncols = ncols
-        self.nrhs = nrhs
-        self.torus_rank = torus_rank
+        self.ncols, self.nrhs, self.torus_rank = ncols, nrhs, torus_rank
         if torus_rank is None:
-            self._zero, self._one, self._div = Fraction(0), Fraction(1), truediv
+            self._zero, self._one, self._div = 0, 1, floordiv
         else:
             self._zero, self._one = Polynomial.zero(torus_rank), Polynomial.one(torus_rank)
             self._div = poly_exact_div
@@ -693,24 +745,22 @@ class Echelon:
         pivot rows; True when it extends the span and becomes a pivot row."""
         self._rows_added += 1
         v = self._entries(row)
-        zero, div, prev = self._zero, self._div, self._one
+        zero, div, one = self._zero, self._div, self._one
+        prev = one  # a division by it is skipped
         for col, pivot_row, _ in self._pivots:
             head = v.pop(col, None)
             if head is None:
                 continue
-            p = pivot_row[col]
+            p, exact = pivot_row[col], prev is one
             out = {}
             for j, x in v.items():
                 y = pivot_row.get(j)
-                if y is None:
-                    out[j] = div(p * x, prev)
-                else:
-                    t = p * x - head * y
-                    if t != zero:
-                        out[j] = div(t, prev)
+                t = p * x if y is None else p * x - head * y
+                if t != zero:
+                    out[j] = t if exact else div(t, prev)
             for j, y in pivot_row.items():
                 if j != col and j not in v:
-                    out[j] = div(-(head * y), prev)
+                    out[j] = -(head * y) if exact else div(-(head * y), prev)
             v, prev = out, p
         lead = min((j for j in v if j < self.ncols), default=None)
         if lead is None:
@@ -727,37 +777,43 @@ class Echelon:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         n = self.torus_rank
         if n is None:
-            return {j: _as_fraction(x) for j, x in items if x != 0}
-        out: dict = {}
+            out = {j: x if type(x) is int else _as_fraction(x) for j, x in items if x != 0}
+            common = lcm(*[x.denominator for x in out.values()])
+            if common > 1:
+                self._cleared *= common
+            return {j: x.numerator * (common // x.denominator) for j, x in out.items()}
+        out = {}
         denominators: dict = {}  # distinct, in order of appearance
         for j, x in items:
-            if isinstance(x, (Polynomial, RationalFunction)):
-                if x.torus_rank != n:
-                    raise ValueError(f"rank mismatch: {x.torus_rank} vs {n}")
-                if x.is_zero:
-                    continue
-                if isinstance(x, RationalFunction) and not x.is_polynomial:
-                    denominators[x.denominator] = None
-            else:
-                x = _as_fraction(x)
-                if x == 0:
-                    continue
+            if not isinstance(x, (Polynomial, RationalFunction)):
                 x = Polynomial.constant(n, x)
-            out[j] = x
-        scale = self._one
-        for d in denominators:
-            scale = scale * d
+            elif x.torus_rank != n:
+                raise ValueError(f"rank mismatch: {x.torus_rank} vs {n}")
+            if isinstance(x, RationalFunction) and x.is_polynomial:
+                x = x.numerator
+            elif isinstance(x, RationalFunction):
+                denominators[x.denominator] = None
+            if not x.is_zero:
+                out[j] = x
         if denominators:
+            scale = self._one
+            for d in denominators:
+                scale = scale * d
             self._cleared = self._cleared * scale
-        return {
-            j: x.numerator * poly_exact_div(scale, x.denominator)
-            if isinstance(x, RationalFunction)
-            else x * scale
-            for j, x in out.items()
-        }
+            out = {
+                j: x.numerator * poly_exact_div(scale, x.denominator)
+                if isinstance(x, RationalFunction) else x * scale
+                for j, x in out.items()
+            }
+        # then to integer coefficients, the natural domain of Bareiss
+        common = lcm(*[x._den for x in out.values()])
+        if common > 1:
+            self._cleared = self._cleared * common
+            out = {j: _rescale(x, common, 1) for j, x in out.items()}
+        return out
 
     def _field(self, x):
-        return x if self.torus_rank is None else RationalFunction(x)
+        return Fraction(x) if self.torus_rank is None else _rational(x, self._one)
 
     def _back_substitute(self, x: dict, rhs: Optional[int]) -> tuple:
         """Complete x, which holds the free variables, so that every pivot
@@ -802,9 +858,7 @@ class Echelon:
         cols = [item[0] for item in self._pivots]
         inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
         value = self._last if inversions % 2 == 0 else -self._last
-        if self.torus_rank is None:
-            return value
-        return RationalFunction(value, self._cleared)
+        return (Fraction if self.torus_rank is None else RationalFunction)(value, self._cleared)
 
 
 def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -815,9 +869,7 @@ def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
     return echelon.rank
 
 
-def solve_rational(
-    rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> Optional[list]:
+def solve_rational(rows: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Optional[list]:
     """One exact solution of M x = b over Q (reduced echelon, free vars = 0).
 
     Returns None when the system is inconsistent.
@@ -840,10 +892,8 @@ class SolveResult:
 
 
 def _entry_rank(entries: Iterable) -> Optional[int]:
-    for e in entries:
-        if isinstance(e, (Polynomial, RationalFunction)):
-            return e.torus_rank
-    return None
+    kinds = (Polynomial, RationalFunction)
+    return next((e.torus_rank for e in entries if isinstance(e, kinds)), None)
 
 
 def rank_and_solve(
@@ -898,40 +948,31 @@ def determinant(matrix: Sequence[Sequence], torus_rank: Optional[int] = None):
 # -- specialization ----------------------------------------------------------
 
 
-def random_rational_point(rng: random.Random, torus_rank: int) -> list:
-    """A seeded random point with numerators in [-10^4, 10^4] and
-    denominators in [1, 100]."""
-    return [
-        Fraction(
-            rng.randint(-_SPECIALIZE_NUM_BOUND, _SPECIALIZE_NUM_BOUND),
-            rng.randint(1, _SPECIALIZE_DEN_BOUND),
-        )
-        for _ in range(torus_rank)
-    ]
-
-
 def generic_specialized_rank(
     matrix: Sequence[Sequence[Polynomial]], seed: int = DEFAULT_SEED
 ) -> int:
     """Rank via evaluation at seeded random rational points.
 
+    Each draw has numerators in [-10^4, 10^4] and denominators in [1, 100].
     Two independent draws; a disagreement triggers a third, and three mutually
     distinct values raise SpecializationError listing all draws.  The largest
     observed value is returned (specializing can only lower the rank).
     """
     rows = [list(r) for r in matrix]
-    flat = [e for row in rows for e in row]
-    n = _entry_rank(flat)
+    n = _entry_rank(e for row in rows for e in row)
     if n is None or n < 1:
         raise UnsupportedRankError("generic_specialized_rank requires torus rank >= 1")
     rng = random.Random(seed)
 
     def draw() -> int:
-        point = random_rational_point(rng, n)
+        point = [
+            Fraction(rng.randint(-_SPECIALIZE_NUM_BOUND, _SPECIALIZE_NUM_BOUND),
+                     rng.randint(1, _SPECIALIZE_DEN_BOUND))
+            for _ in range(n)
+        ]
         return rank_rational([[e.evaluate(point) for e in row] for row in rows])
 
-    r1 = draw()
-    r2 = draw()
+    r1, r2 = draw(), draw()
     if r1 == r2:
         return r1
     r3 = draw()
@@ -948,19 +989,17 @@ def generic_specialized_rank(
 def _coerce_univariate(matrix: Sequence[Sequence]) -> list:
     rows = []
     for row in matrix:
-        out = []
+        rows.append([])
         for e in row:
             if isinstance(e, RationalFunction):
                 e = e.as_polynomial()
-            if isinstance(e, Polynomial):
-                if e.torus_rank != 1:
-                    raise UnsupportedRankError(
-                        "smith_normal_form requires univariate (torus rank 1) entries"
-                    )
-            else:
-                e = Polynomial.constant(1, _as_fraction(e))
-            out.append(e)
-        rows.append(out)
+            if not isinstance(e, Polynomial):
+                e = Polynomial.constant(1, e)
+            elif e.torus_rank != 1:
+                raise UnsupportedRankError(
+                    "smith_normal_form requires univariate (torus rank 1) entries"
+                )
+            rows[-1].append(e)
     return rows
 
 
@@ -976,62 +1015,36 @@ def smith_normal_form(matrix: Sequence[Sequence]) -> tuple:
     ncols = len(d[0]) if nrows else 0
     zero = Polynomial.zero(1)
     one = Polynomial.one(1)
-    u = identity_matrix(nrows, one, zero)
-    v = identity_matrix(ncols, one, zero)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+    u = [[one if i == j else zero for j in range(nrows)] for i in range(nrows)]
+    v = [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
 
     def primitive_scale(polys):
-        # Reciprocal of the rational content, or None for an all-zero slice.
-        num_gcd, den_lcm = 0, 1
-        for p in polys:
-            for c in p.terms.values():
-                num_gcd = gcd(num_gcd, abs(c.numerator))
-                den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        if num_gcd == 0:
-            return None
-        return Fraction(den_lcm, num_gcd)
+        # Reciprocal of the rational content (1 for an all-zero slice), from
+        # the gcd of the integer numerators and the lcm of the denominators.
+        num_gcd = gcd(*[c for p in polys for c in p._num.values()])
+        return Fraction(lcm(*[p._den for p in polys]), num_gcd) if num_gcd else 1
 
     def row_op(i, j, q):
         # row_i -= q * row_j, then strip content to limit coefficient growth
         d[i] = [a - q * b for a, b in zip(d[i], d[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
         s = primitive_scale(d[i] + u[i])
-        if s is not None and s != 1:
+        if s != 1:
             d[i] = [x * s for x in d[i]]
             u[i] = [x * s for x in u[i]]
 
     def col_op(i, j, q):
         # col_i -= q * col_j, then strip content to limit coefficient growth
-        for row in d:
+        for row in d + v:
             row[i] = row[i] - q * row[j]
-        for row in v:
-            row[i] = row[i] - q * row[j]
-        s = primitive_scale([row[i] for row in d] + [row[i] for row in v])
-        if s is not None and s != 1:
-            for row in d:
-                row[i] = row[i] * s
-            for row in v:
+        s = primitive_scale([row[i] for row in d + v])
+        if s != 1:
+            for row in d + v:
                 row[i] = row[i] * s
 
     def min_degree_entry(t):
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if d[i][j].is_zero:
-                    continue
-                key = (d[i][j].degree(), i, j)
-                if best is None or key < best:
-                    best = key
-        return best
+        return min(((d[i][j].degree(), i, j) for i in range(t, nrows) for j in range(t, ncols)
+                    if not d[i][j].is_zero), default=None)
 
     t = 0
     while t < min(nrows, ncols):
@@ -1040,10 +1053,10 @@ def smith_normal_form(matrix: Sequence[Sequence]) -> tuple:
             break
         while True:
             _, pi, pj = found
-            if pi != t:
-                swap_rows(t, pi)
-            if pj != t:
-                swap_cols(t, pj)
+            for m in (d, u):
+                m[t], m[pi] = m[pi], m[t]
+            for row in d + v:
+                row[t], row[pj] = row[pj], row[t]
             pivot = d[t][t]
             dirty = False
             for i in range(t + 1, nrows):
@@ -1060,17 +1073,11 @@ def smith_normal_form(matrix: Sequence[Sequence]) -> tuple:
                 found = min_degree_entry(t)
                 continue
             # Row and column are clear; pull in any entry the pivot misses.
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if d[i][j].is_zero:
-                        continue
-                    _, r = poly_divmod(d[i][j], pivot)
-                    if not r.is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            misses = (
+                i for i in range(t + 1, nrows) for j in range(t + 1, ncols)
+                if not d[i][j].is_zero and not poly_divmod(d[i][j], pivot)[1].is_zero
+            )
+            offender = next(misses, None)
             if offender is None:
                 break
             row_op(t, offender, Polynomial.constant(1, -1))
@@ -1079,14 +1086,10 @@ def smith_normal_form(matrix: Sequence[Sequence]) -> tuple:
 
     # Monic normalization, applied to U so U*A*V = D is preserved.
     for i in range(min(nrows, ncols)):
-        pv = d[i][i]
-        if pv.is_zero:
-            continue
-        lead = pv.terms[(pv.degree(),)]
+        lead = 1 if d[i][i].is_zero else d[i][i].terms[(d[i][i].degree(),)]
         if lead != 1:
             inv = 1 / lead
-            d[i] = [x * inv for x in d[i]]
-            u[i] = [x * inv for x in u[i]]
+            d[i], u[i] = [x * inv for x in d[i]], [x * inv for x in u[i]]
 
     for i in range(min(nrows, ncols) - 1):
         a, b = d[i][i], d[i + 1][i + 1]
@@ -1100,8 +1103,5 @@ def smith_normal_form(matrix: Sequence[Sequence]) -> tuple:
 def invariant_factors(matrix: Sequence[Sequence]) -> list:
     """Nonzero diagonal entries of the Smith normal form, in order."""
     _, d, _ = smith_normal_form(matrix)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if not d[i][i].is_zero:
-            out.append(d[i][i])
-    return out
+    diagonal = (d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)))
+    return [entry for entry in diagonal if not entry.is_zero]

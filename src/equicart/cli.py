@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage or domain-precondition error (diagnostic on
 standard error), 2 a validation or consistency check failed (report still
-printed on standard output in the requested format).
+printed on standard output in the requested format), 3 an internal fault
+(an untyped ValueError from the library; "internal error: ..." on standard
+error).
 
 Output formats: `--format text` (default, human-readable) and `--format
 json` (stable schema, sorted keys, two-space indent, one trailing newline —
@@ -17,6 +19,7 @@ subcommand).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -177,8 +180,9 @@ def _resolve_model(selector: str):
 
 
 def _resolve_map(selector: str, table: Dict[str, gysin.ModelMap]):
-    """'builtin:NAME' from the shared builtin table, or 'PATH#NAME' from a
-    model file's maps section."""
+    """(map, report): 'builtin:NAME' from the shared builtin table with no
+    report, or 'PATH#NAME' from a model file's maps section with the report
+    the loader computed."""
     if selector.startswith("builtin:"):
         name = selector[len("builtin:"):]
         if name not in table:
@@ -186,7 +190,7 @@ def _resolve_map(selector: str, table: Dict[str, gysin.ModelMap]):
                 f"unknown builtin map {name!r}; available: "
                 + ", ".join(models.builtin_map_names())
             )
-        return table[name]
+        return table[name], None
     path, sep, name = selector.partition("#")
     if not sep:
         raise UsageError(
@@ -201,7 +205,7 @@ def _resolve_map(selector: str, table: Dict[str, gysin.ModelMap]):
             f"file {path!r} has no map {name!r}; available: "
             + ", ".join(sorted(mf.maps))
         )
-    return mf.maps[name]
+    return mf.maps[name], mf.map_reports[name]
 
 
 # -- rendering ----------------------------------------------------------------
@@ -269,13 +273,12 @@ def _cmd_validate(args) -> Tuple[int, dict]:
     try:
         if args.model.startswith("builtin:"):
             model = models.builtin(args.model[len("builtin:"):])
-            maps = {}
+            report, map_reports = gcomplex.validate_model(model), {}
         else:
             loaded = models.load_model_file(args.model)
-            model, maps = loaded.model, loaded.maps
+            model, report, map_reports = loaded.model, loaded.report, loaded.map_reports
     except FileNotFoundError as exc:
         raise UsageError(f"no such model file: {exc.filename}") from exc
-    report = gcomplex.validate_model(model)
     payload = {
         "model": model.name,
         "ok": report.ok,
@@ -284,15 +287,22 @@ def _cmd_validate(args) -> Tuple[int, dict]:
             for i in report.issues
         ],
     }
-    if maps:
-        # the loader already re-validated every map; record what it accepted
-        payload["maps"] = {name: {"ok": True} for name in sorted(maps)}
+    if map_reports:
+        # the reports of the maps the loader validated (and accepted)
+        payload["maps"] = {name: {"ok": map_reports[name].ok} for name in sorted(map_reports)}
     return (0 if report.ok else 2), payload
+
+
+def _cutoff(args, model) -> int:
+    cutoff = args.cutoff if args.cutoff is not None else model.default_cutoff()
+    if cutoff < 0:
+        raise UsageError("cutoff must be >= 0")
+    return cutoff
 
 
 def _cmd_cohomology(args) -> Tuple[int, dict]:
     model = _resolve_model(args.model)
-    cutoff = args.cutoff if args.cutoff is not None else model.default_cutoff()
+    cutoff = _cutoff(args, model)
     comparison = gcomplex.predict_free_hilbert(model, cutoff)
     generic = gcomplex.cohomology_generic(model)
     payload = {
@@ -327,7 +337,7 @@ def _cmd_classify(args) -> Tuple[int, dict]:
     presentation = duality.presentation_from_model(model)
     classification = duality.classify_presentation(presentation)
     ext = classification.dual
-    cutoff = args.cutoff if args.cutoff is not None else model.default_cutoff()
+    cutoff = _cutoff(args, model)
     implied = classification.implied_hilbert(cutoff)
     actual = gcomplex.cohomology_hilbert(model, cutoff)
     payload = {
@@ -412,11 +422,12 @@ def _cmd_duality(args) -> Tuple[int, dict]:
 
 def _cmd_gysin(args) -> Tuple[int, dict]:
     table = models.builtin_maps()
-    f = _resolve_map(args.map, table)
+    f, report = _resolve_map(args.map, table)
     if args.compose:
-        second = _resolve_map(args.compose, table)
-        f = gysin.compose_maps(second, f)
-    report = gysin.validate_map(f)
+        second, _ = _resolve_map(args.compose, table)
+        f, report = gysin.compose_maps(second, f), None
+    if report is None:  # a file map arrives with the report the loader computed
+        report = gysin.validate_map(f)
     payload = {
         "map": f.name,
         "source": f.source.name,
@@ -477,14 +488,23 @@ def _cmd_thom(args) -> Tuple[int, dict]:
     return (0 if residual.is_zero else 2), payload
 
 
+def _representation(rank: int, weights, trivial: int = 0):
+    """The representation with these weights; the checks on them are usage
+    errors, since the weights come from the command line."""
+    try:
+        return euler.LinearRepresentation.from_weights(
+            rank, [tuple(w) for w in weights], trivial=trivial
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _cmd_euler(args) -> Tuple[int, dict]:
     weights = _parse_int_matrix(args.weights, "weight")
     if not weights or any(not row for row in weights):
         raise UsageError("euler needs at least one nonempty weight vector")
     rank = len(weights[0])
-    rep = euler.LinearRepresentation.from_weights(
-        rank, [tuple(w) for w in weights], trivial=args.trivial
-    )
+    rep = _representation(rank, weights, trivial=args.trivial)
     value = euler.euler_linear(rep)
     payload = {
         "torus_rank": rank,
@@ -497,12 +517,8 @@ def _cmd_euler(args) -> Tuple[int, dict]:
         split = args.split
         if not 0 < split < len(weights):
             raise UsageError("--split must cut the weight list in two")
-        inner = euler.LinearRepresentation.from_weights(
-            rank, [tuple(w) for w in weights[:split]]
-        )
-        outer = euler.LinearRepresentation.from_weights(
-            rank, [tuple(w) for w in weights[split:]], trivial=args.trivial
-        )
+        inner = _representation(rank, weights[:split])
+        outer = _representation(rank, weights[split:], trivial=args.trivial)
         payload["nested_multiplicative"] = euler.nested_euler_check(inner, outer)
     else:
         payload["nested_multiplicative"] = None
@@ -703,8 +719,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser, built on first use and reused by every later run():
+    parsing leaves it unchanged, and help and usage are formatted per call."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(list(argv) if argv is not None else None)
     except UsageError as exc:
@@ -737,12 +760,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         gcomplex.ModelStructureError,
         gysin.MapStructureError,
         gysin.DecompositionError,
+        gysin.ThomInputError,
         euler.FixedPointDataError,
         euler.NonIsolatedFixedPointError,
-        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # no typed refusal: a fault of the library
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     _emit(args.format, payload)
     return code
 

@@ -57,6 +57,11 @@ class MapStructureError(ValueError):
     """Shape or rank problems detected before any commutation check."""
 
 
+class ThomInputError(ValueError):
+    """Raised when the top form given to thom_extend is not a d-closed,
+    homogeneous element of the model with constant rational coefficients."""
+
+
 class ObstructionError(RuntimeError):
     """Thom extension hit a contraction image that is not exact."""
 
@@ -522,7 +527,7 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
     and the error names the component degree k - 2j where it happened.
     """
     if phi_top.model is not model:
-        raise ValueError("phi_top does not belong to the given model")
+        raise ThomInputError("phi_top does not belong to the given model")
     if phi_top.is_zero:
         return phi_top
     n = model.torus_rank
@@ -531,19 +536,19 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
     for idx, coeff in phi_top.terms.items():
         if isinstance(coeff, RationalFunction):
             if not coeff.is_polynomial:
-                raise ValueError("phi_top coefficients must be rational constants")
+                raise ThomInputError("phi_top coefficients must be rational constants")
             coeff = coeff.as_polynomial()
         cd = coeff.cohomological_degree()
         if cd != 0:
-            raise ValueError("phi_top coefficients must be rational constants")
+            raise ThomInputError("phi_top coefficients must be rational constants")
         top_vec[idx] = coeff.terms.get((0,) * n, Fraction(0))
         degrees.add(model.generators[idx].degree)
     if len(degrees) != 1:
-        raise ValueError("phi_top must be homogeneous in generator degree")
+        raise ThomInputError("phi_top must be homogeneous in generator degree")
     k = degrees.pop()
 
     if not apply_rational_matrix(model, model.d, phi_top).is_zero:
-        raise ValueError("phi_top is not d-closed")
+        raise ThomInputError("phi_top is not d-closed")
     size = len(model.generators)
 
     # components[j] maps exponent tuple (|a| = j) -> generator vector over Q

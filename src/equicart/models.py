@@ -20,8 +20,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .algebra import Polynomial
 from .euler import FixedPointDatum, LinearRepresentation, Weight
-from .gcomplex import Generator, InvariantModel, graded_product, validate_model
-from .gysin import ModelMap, identity_map, validate_map
+from .gcomplex import (
+    Generator,
+    InvariantModel,
+    ValidationReport,
+    graded_product,
+    validate_model,
+)
+from .gysin import MapReport, ModelMap, identity_map, validate_map
 
 
 class UnknownModelError(ValueError):
@@ -722,7 +728,7 @@ def _endpoint_ref(end: InvariantModel, model: InvariantModel) -> str:
     )
 
 
-def _model_from_dict(data: dict, where: str) -> InvariantModel:
+def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, ValidationReport]:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ModelFileError(
@@ -844,13 +850,18 @@ def _model_from_dict(data: dict, where: str) -> InvariantModel:
     report = validate_model(model)
     if not report.ok:
         raise ModelFileError(f"{where}: model rejected:\n{report}")
-    return model
+    return model, report
 
 
 @dataclass(frozen=True)
 class ModelFile:
+    """A loaded model file, with the validation reports the loader computed
+    for the model and each map (all ok: the loader refuses anything else)."""
+
     model: InvariantModel
     maps: Mapping[str, ModelMap]
+    report: ValidationReport
+    map_reports: Mapping[str, MapReport]
 
 
 def _resolve_map_end(ref, own_model: InvariantModel, where: str) -> InvariantModel:
@@ -875,8 +886,8 @@ def load_model_file(path: str) -> ModelFile:
         ) from exc
     if not isinstance(data, dict):
         raise ModelFileError(f"{path}: top level must be an object")
-    model = _model_from_dict(data, path)
-    maps = {}
+    model, report = _model_from_dict(data, path)
+    maps, map_reports = {}, {}
     for mname, raw in data.get("maps", {}).items():
         where = f"{path}:maps[{mname}]"
         source = _resolve_map_end(raw.get("source"), model, where)
@@ -909,7 +920,8 @@ def load_model_file(path: str) -> ModelFile:
         if not map_report.ok:
             raise ModelFileError(f"{where}: map rejected:\n{map_report}")
         maps[str(mname)] = model_map
-    return ModelFile(model=model, maps=maps)
+        map_reports[str(mname)] = map_report
+    return ModelFile(model=model, maps=maps, report=report, map_reports=map_reports)
 
 
 def load_model(path: str) -> InvariantModel:

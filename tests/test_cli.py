@@ -71,6 +71,61 @@ def test_help_exits_zero(capsys):
     assert "equicart" in out
 
 
+# usage errors, help and two subcommands, run back to back in one process
+BACK_TO_BACK = [
+    [],
+    ["frobnicate"],
+    ["--help"],
+    ["cohomology", "--model", "builtin:point(1)"],
+    ["euler", "--weights", "1,0;0,1", "--format", "json"],
+    ["pairing"],
+]
+
+
+def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    fresh = []
+    for argv in BACK_TO_BACK:
+        cli._shared_parser.cache_clear()  # as in a new process
+        fresh.append(invoke(capsys, *argv))
+    cli._shared_parser.cache_clear()
+    built.clear()
+    assert [invoke(capsys, *argv) for argv in BACK_TO_BACK] == fresh
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [1, 1, 0, 0, 0, 1]
+
+
+# refused inputs that used to reach run()'s catch-all ValueError branch:
+# each is a usage error (exit 1) with the same message as before
+REFUSED_INPUTS = [
+    (["cohomology", "--model", "builtin:point(1)", "--cutoff", "-1"], "cutoff must be >= 0"),
+    (["classify", "--model", "builtin:s2_rotation", "--cutoff", "-3"], "cutoff must be >= 0"),
+    (["euler", "--weights", "1,0;1"], "weight (1) has wrong rank"),
+    (["euler", "--weights", "0"], "zero weight belongs in the trivial part"),
+    (["euler", "--weights", "1", "--trivial", "-1"], "trivial multiplicity must be >= 0"),
+    (["euler", "--weights", "1;0", "--split", "1"], "zero weight belongs in the trivial part"),
+    (["thom", "--model", "builtin:s2_rotation", "--top", "t,vol"],
+     "phi_top must be homogeneous in generator degree"),
+    (["thom", "--model", "builtin:s2_rotation", "--top", "t"], "phi_top is not d-closed"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_INPUTS)
+def test_refused_inputs_are_usage_errors(capsys, argv, message):
+    assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_an_untyped_library_fault_is_an_internal_error(capsys, monkeypatch):
+    def fault(model):
+        raise ValueError("u does not divide 1")
+
+    monkeypatch.setattr(equicart.gcomplex, "cohomology_generic", fault)
+    code, out, err = invoke(capsys, "cohomology", "--model", "builtin:point(1)")
+    assert (code, out, err) == (3, "", "internal error: u does not divide 1\n")
+
+
 # -- validate --------------------------------------------------------------------
 
 
@@ -117,6 +172,32 @@ def test_a_rejected_model_file_prints_the_report_as_json(capsys, monkeypatch, co
         "--format", "json",
     )
     assert (code, out, err) == (2, BROKEN_D_SQUARED_JSON, "")
+
+
+@pytest.mark.parametrize(
+    "argv, counted",
+    [
+        (["validate", "--model", "modelfiles/s2_rotation.json"], "gcomplex.validate_model"),
+        (["gysin", "--map", "modelfiles/s2_rotation.json#identity"], "gysin.validate_map"),
+    ],
+)
+def test_a_model_file_is_validated_once(capsys, count_calls, monkeypatch, argv, counted):
+    # the handlers print the reports the loader computed
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    module, name = counted.split(".")
+    calls = count_calls(getattr(getattr(equicart, module), name))
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_the_loader_still_refuses_a_broken_map(capsys, count_calls):
+    calls = count_calls(equicart.gysin.validate_map)
+    code, payload, err = invoke_json(
+        capsys, "gysin", "--map", f"{FIXTURES / 'broken_map.json'}#any"
+    )
+    assert (code, payload["ok"], err, len(calls)) == (2, False, "", 1)
+    assert "map rejected" in payload["error"]
 
 
 def test_validate_accepts_shipped_model_files(capsys):
