@@ -172,13 +172,6 @@ def _parse_element(model, spec: str):
     return gcomplex.element(model, terms)
 
 
-def _resolve_model(selector: str):
-    try:
-        return models.resolve_model(selector)
-    except FileNotFoundError as exc:
-        raise UsageError(f"no such model file: {exc.filename}") from exc
-
-
 def _resolve_map(selector: str, table: Dict[str, gysin.ModelMap]):
     """(map, report): 'builtin:NAME' from the shared builtin table with no
     report, or 'PATH#NAME' from a model file's maps section with the report
@@ -196,10 +189,7 @@ def _resolve_map(selector: str, table: Dict[str, gysin.ModelMap]):
         raise UsageError(
             "map selector must be 'builtin:NAME' or 'PATH#NAME'"
         )
-    try:
-        mf = models.load_model_file(path)
-    except FileNotFoundError as exc:
-        raise UsageError(f"no such model file: {exc.filename}") from exc
+    mf = models.load_model_file(path)
     if name not in mf.maps:
         raise UsageError(
             f"file {path!r} has no map {name!r}; available: "
@@ -270,15 +260,12 @@ def _emit(fmt: str, payload: dict) -> None:
 
 
 def _cmd_validate(args) -> Tuple[int, dict]:
-    try:
-        if args.model.startswith("builtin:"):
-            model = models.builtin(args.model[len("builtin:"):])
-            report, map_reports = gcomplex.validate_model(model), {}
-        else:
-            loaded = models.load_model_file(args.model)
-            model, report, map_reports = loaded.model, loaded.report, loaded.map_reports
-    except FileNotFoundError as exc:
-        raise UsageError(f"no such model file: {exc.filename}") from exc
+    if args.model.startswith("builtin:"):
+        model = models.builtin(args.model[len("builtin:"):])
+        report, map_reports = gcomplex.validate_model(model), {}
+    else:
+        loaded = models.load_model_file(args.model)
+        model, report, map_reports = loaded.model, loaded.report, loaded.map_reports
     payload = {
         "model": model.name,
         "ok": report.ok,
@@ -301,7 +288,7 @@ def _cutoff(args, model) -> int:
 
 
 def _cmd_cohomology(args) -> Tuple[int, dict]:
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     cutoff = _cutoff(args, model)
     comparison = gcomplex.predict_free_hilbert(model, cutoff)
     generic = gcomplex.cohomology_generic(model)
@@ -333,7 +320,7 @@ def _cmd_classify(args) -> Tuple[int, dict]:
         return _classify_matrix(args)
     if args.model is None:
         raise UsageError("classify needs --model or --matrix")
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     presentation = duality.presentation_from_model(model)
     classification = duality.classify_presentation(presentation)
     ext = classification.dual
@@ -394,7 +381,7 @@ def _classify_matrix(args) -> Tuple[int, dict]:
 
 
 def _cmd_pairing(args) -> Tuple[int, dict]:
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     analysis = duality.ModelAnalysis(model)
     pairing = analysis.pairing
     payload = {
@@ -407,7 +394,7 @@ def _cmd_pairing(args) -> Tuple[int, dict]:
 
 
 def _cmd_duality(args) -> Tuple[int, dict]:
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     analysis = duality.ModelAnalysis(model)
     report = analysis.duality
     payload = {
@@ -463,7 +450,7 @@ def _cmd_gysin(args) -> Tuple[int, dict]:
 
 
 def _cmd_thom(args) -> Tuple[int, dict]:
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     phi = _parse_element(model, args.top)
     try:
         extended = gysin.thom_extend(model, phi)
@@ -526,7 +513,7 @@ def _cmd_euler(args) -> Tuple[int, dict]:
 
 
 def _cmd_localize(args) -> Tuple[int, dict]:
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     if args.class_name is not None:
         result = euler.localize_integral(model.fixed_points, args.class_name)
         payload = {
@@ -562,7 +549,7 @@ def _cmd_lefschetz(args) -> Tuple[int, dict]:
             raise UsageError(f"bad --dims: {exc}") from exc
         source = args.dims
     elif args.model is not None:
-        model = _resolve_model(args.model)
+        model = models.resolve_model(args.model)
         dims = gcomplex.underlying_cohomology_dims(model)
         source = model.name
     else:
@@ -585,7 +572,7 @@ def _cmd_lefschetz(args) -> Tuple[int, dict]:
 
 
 def _cmd_restrict(args) -> Tuple[int, dict]:
-    model = _resolve_model(args.model)
+    model = models.resolve_model(args.model)
     matrix = _parse_int_matrix(args.matrix, "restriction")
     try:
         restricted = gysin.restrict_subtorus(model, matrix)
@@ -738,22 +725,29 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV_VAR, DEFAULT_SEED))
     handler = _HANDLERS[args.command]
     try:
+        if args.seed is None:
+            seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                message = f"{SEED_ENV_VAR} must be an integer, got {seed!r}"
+                raise UsageError(message) from None
         code, payload = handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except FileNotFoundError as exc:
+        print(f"error: no such model file: {exc.filename}", file=sys.stderr)
         return 1
-    except models.UnknownModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a model file that exists but cannot be read
+        print(f"error: cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except models.ModelFileError as exc:
         # a file that fails validation: the report is the message
         _emit(args.format, {"ok": False, "error": str(exc)})
         return 2
     except (
+        UsageError,
+        models.UnknownModelError,
         duality.NonCompactModelError,
         duality.UnsupportedRankError,
         gcomplex.MissingProductError,

@@ -391,6 +391,19 @@ def operator_residuals(
             )
 
 
+def degree_violations(
+    matrix, row_degrees: Sequence[int], col_degrees: Sequence[int], shift: int = 0
+) -> List[Tuple[int, int]]:
+    """(row, col) of every nonzero entry whose row degree is not its column
+    degree plus shift, row by row."""
+    return [
+        (r, c)
+        for r, row in enumerate(matrix)
+        for c, value in enumerate(row)
+        if value != 0 and row_degrees[r] != col_degrees[c] + shift
+    ]
+
+
 def validate_model(model: InvariantModel) -> ValidationReport:
     """Check every structural axiom; an empty report means the model is a
     valid invariant g-complex with consistent auxiliary data."""
@@ -400,16 +413,16 @@ def validate_model(model: InvariantModel) -> ValidationReport:
     degrees = model.degrees()
 
     def check_degree_shift(matrix, shift: int, label: str):
-        for g in range(size):
-            for h in range(size):
-                if matrix[h][g] != 0 and degrees[h] != degrees[g] + shift:
-                    issues.append(
-                        ValidationIssue(
-                            axiom=f"{label} has degree {shift:+d}",
-                            where=f"{gens[g].name} -> {gens[h].name}",
-                            witness=f"degrees {degrees[g]} -> {degrees[h]}",
-                        )
-                    )
+        # column by column: the issues of one generator's image stay together
+        violations = degree_violations(matrix, degrees, degrees, shift)
+        for h, g in sorted(violations, key=lambda entry: entry[::-1]):
+            issues.append(
+                ValidationIssue(
+                    axiom=f"{label} has degree {shift:+d}",
+                    where=f"{gens[g].name} -> {gens[h].name}",
+                    witness=f"degrees {degrees[g]} -> {degrees[h]}",
+                )
+            )
 
     check_degree_shift(model.d, +1, "d")
     for i, c in enumerate(model.contractions):

@@ -47,6 +47,7 @@ from .gcomplex import (
     apply_rational_matrix,
     cartan_differential,
     cartan_parity_matrices,
+    degree_violations,
     element_product,
     operator_residuals,
     zero_element,
@@ -162,22 +163,17 @@ def validate_map(f: ModelMap) -> MapReport:
     pullback*c_i = c_i*pullback for every i."""
     issues: List[MapIssue] = []
     src, tgt = f.source, f.target
-    for s in range(len(src.generators)):
-        for t in range(len(tgt.generators)):
-            if (
-                f.pullback[s][t] != 0
-                and src.generators[s].degree != tgt.generators[t].degree
-            ):
-                issues.append(
-                    MapIssue(
-                        law="pullback has degree 0",
-                        where=f"{tgt.generators[t].name} -> {src.generators[s].name}",
-                        witness=(
-                            f"degrees {tgt.generators[t].degree} -> "
-                            f"{src.generators[s].degree}"
-                        ),
-                    )
-                )
+    for s, t in degree_violations(f.pullback, src.degrees(), tgt.degrees()):
+        issues.append(
+            MapIssue(
+                law="pullback has degree 0",
+                where=f"{tgt.generators[t].name} -> {src.generators[s].name}",
+                witness=(
+                    f"degrees {tgt.generators[t].degree} -> "
+                    f"{src.generators[s].degree}"
+                ),
+            )
+        )
 
     def commute(target_op, source_op, label: str):
         lhs = matmul(f.pullback, target_op, Fraction(0))

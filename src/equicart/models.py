@@ -41,8 +41,11 @@ class ModelFileError(ValueError):
 # -- small constructors --------------------------------------------------------
 
 
-def _matrix(size: int, entries: Mapping[Tuple[int, int], Fraction]):
-    m = [[Fraction(0)] * size for _ in range(size)]
+def _matrix(
+    rows: int, entries: Mapping[Tuple[int, int], Fraction], cols: Optional[int] = None
+):
+    """The dense rows x cols (square without cols) matrix of sparse entries."""
+    m = [[Fraction(0)] * (rows if cols is None else cols) for _ in range(rows)]
     for (h, g), v in entries.items():
         m[h][g] = Fraction(v)
     return tuple(tuple(row) for row in m)
@@ -502,45 +505,32 @@ class S2Chain:
     collapse: ModelMap
 
 
-def _inclusion_pullback(sphere: InvariantModel, t_value: Fraction):
-    # pullback of each sphere generator along the evaluation at a pole
-    entries = {}
-    entries[(0, sphere.generator_index("one"))] = Fraction(1)
-    entries[(0, sphere.generator_index("t"))] = Fraction(t_value)
-    # q = (t^2 - 1)/2 evaluates to 0 at both poles
-    m = [[Fraction(0)] * len(sphere.generators)]
-    for (r, c), v in entries.items():
-        m[r][c] = v
-    return (tuple(m[0]),)
-
-
 def s2_chain() -> S2Chain:
     """point --north/south--> s2_rotation --collapse--> point."""
     pt = point(1)
     sphere = s2_rotation()
-    north = ModelMap(
-        name="s2_north_inclusion",
-        source=pt,
-        target=sphere,
-        pullback=_inclusion_pullback(sphere, Fraction(1)),
-    )
-    south = ModelMap(
-        name="s2_south_inclusion",
-        source=pt,
-        target=sphere,
-        pullback=_inclusion_pullback(sphere, Fraction(-1)),
-    )
-    collapse_matrix = [
-        [Fraction(0)] for _ in range(len(sphere.generators))
-    ]
-    collapse_matrix[sphere.generator_index("one")][0] = Fraction(1)
+    size = len(sphere.generators)
+    one, t = sphere.generator_index("one"), sphere.generator_index("t")
+
+    def inclusion(name: str, t_value: int) -> ModelMap:
+        # pullback along the evaluation at a pole: one -> 1, t -> t_value, and
+        # q = (t^2 - 1)/2 evaluates to 0 at both poles
+        pullback = _matrix(1, {(0, one): 1, (0, t): t_value}, size)
+        return ModelMap(name=name, source=pt, target=sphere, pullback=pullback)
+
     collapse = ModelMap(
         name="s2_to_point",
         source=sphere,
         target=pt,
-        pullback=tuple(tuple(row) for row in collapse_matrix),
+        pullback=_matrix(size, {(one, 0): 1}, 1),
     )
-    return S2Chain(point=pt, sphere=sphere, north=north, south=south, collapse=collapse)
+    return S2Chain(
+        point=pt,
+        sphere=sphere,
+        north=inclusion("s2_north_inclusion", 1),
+        south=inclusion("s2_south_inclusion", -1),
+        collapse=collapse,
+    )
 
 
 def builtin_map_names() -> List[str]:
@@ -585,37 +575,11 @@ def _frac_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _parse_frac(text, where: str) -> Fraction:
-    try:
-        return Fraction(str(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ModelFileError(f"bad rational {text!r} at {where}: {exc}") from exc
-
-
 def _poly_to_json(p: Polynomial) -> list:
     return [
         [list(exps), _frac_str(coeff)]
         for exps, coeff in sorted(p.terms.items())
     ]
-
-
-def _poly_from_json(data, torus_rank: int, where: str) -> Polynomial:
-    terms = {}
-    if not isinstance(data, list):
-        raise ModelFileError(f"expected a monomial list at {where}")
-    for item in data:
-        if not (isinstance(item, list) and len(item) == 2):
-            raise ModelFileError(f"expected [exponents, value] at {where}")
-        exps, value = item
-        if len(exps) != torus_rank or not all(
-            isinstance(e, int) and e >= 0 for e in exps
-        ):
-            raise ModelFileError(f"bad exponent vector {exps!r} at {where}")
-        key = tuple(exps)
-        if key in terms:
-            raise ModelFileError(f"duplicate monomial {exps!r} at {where}")
-        terms[key] = _parse_frac(value, where)
-    return Polynomial(torus_rank, terms)
 
 
 def _triplets(matrix) -> list:
@@ -625,24 +589,6 @@ def _triplets(matrix) -> list:
             if value != 0:
                 out.append([h, g, _frac_str(value)])
     return out
-
-
-def _matrix_from_triplets(data, size: int, where: str):
-    entries: Dict[Tuple[int, int], Fraction] = {}
-    if not isinstance(data, list):
-        raise ModelFileError(f"expected a triplet list at {where}")
-    for item in data:
-        if not (isinstance(item, list) and len(item) == 3):
-            raise ModelFileError(f"expected [row, col, value] at {where}")
-        h, g, value = item
-        if not (isinstance(h, int) and isinstance(g, int)):
-            raise ModelFileError(f"non-integer indices {item!r} at {where}")
-        if not (0 <= h < size and 0 <= g < size):
-            raise ModelFileError(f"indices {item!r} out of range at {where}")
-        if (h, g) in entries:
-            raise ModelFileError(f"duplicate entry ({h}, {g}) at {where}")
-        entries[(h, g)] = _parse_frac(value, where)
-    return _matrix(size, entries)
 
 
 def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] = None) -> dict:
@@ -700,12 +646,7 @@ def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] 
                 "source": _endpoint_ref(m.source, model),
                 "target": _endpoint_ref(m.target, model),
                 "proper": m.proper,
-                "pullback": [
-                    [s, t, _frac_str(v)]
-                    for s, row in enumerate(m.pullback)
-                    for t, v in enumerate(row)
-                    if v != 0
-                ],
+                "pullback": _triplets(m.pullback),
             }
             for mname, m in maps.items()
         }
@@ -728,6 +669,108 @@ def _endpoint_ref(end: InvariantModel, model: InvariantModel) -> str:
     )
 
 
+# -- reading model files -------------------------------------------------------
+#
+# Every section goes through the readers below, which check the JSON shape
+# and refuse anything else with a ModelFileError naming where it is.
+
+
+def _object(data, where: str, *required: str) -> dict:
+    """A JSON object that has every required key."""
+    if not isinstance(data, dict):
+        raise ModelFileError(f"{where}: expected an object, got {type(data).__name__}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise ModelFileError(f"{where}: missing {', '.join(missing)}")
+    return data
+
+
+def _list(data, where: str, length: Optional[int] = None) -> list:
+    """A JSON list, of the given length when one is given."""
+    if not isinstance(data, list):
+        raise ModelFileError(f"{where}: expected a list, got {type(data).__name__}")
+    if length is not None and len(data) != length:
+        raise ModelFileError(f"{where}: expected {length} items, got {len(data)}")
+    return data
+
+
+def _rows(data, n: int, where: str) -> List[list]:
+    """A JSON list of n-element lists."""
+    return [_list(item, where, n) for item in _list(data, where)]
+
+
+def _int(value, where: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """A JSON integer (not a bool, string or float) with lo <= value < hi."""
+    if type(value) is not int:
+        raise ModelFileError(f"{where}: expected an integer, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value >= hi):
+        raise ModelFileError(f"{where}: {value} is out of range")
+    return value
+
+
+def _rational(value, where: str) -> Fraction:
+    """An exact rational: a "p/q" string or a JSON number, read from its text."""
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ModelFileError(f"{where}: bad rational {value!r}: {exc}") from exc
+
+
+def _sparse(data, bounds: Sequence[int], where: str, read=_rational) -> dict:
+    """Entries [i, ..., value], one index below each bound and no index given
+    twice, as {index: value} (with several bounds, {(i, ...): value})."""
+    out = {}
+    for item in _rows(data, len(bounds) + 1, where):
+        key = tuple(_int(i, where, 0, bound) for i, bound in zip(item, bounds))
+        key = key if len(key) > 1 else key[0]
+        if key in out:
+            raise ModelFileError(f"{where}: duplicate entry {key}")
+        out[key] = read(item[-1], where)
+    return out
+
+
+def _poly(data, torus_rank: int, where: str) -> Polynomial:
+    """A polynomial [[exponents, value], ...], no monomial given twice."""
+    terms = {}
+    for exps, value in _rows(data, 2, where):
+        key = tuple(_int(e, where, 0) for e in _list(exps, where, torus_rank))
+        if key in terms:
+            raise ModelFileError(f"{where}: duplicate monomial {list(key)}")
+        terms[key] = _rational(value, where)
+    return Polynomial(torus_rank, terms)
+
+
+def _build(where: str, constructor, *args, **kwargs):
+    """constructor(*args, **kwargs), whose checks refuse as a ModelFileError."""
+    try:
+        return constructor(*args, **kwargs)
+    except ValueError as exc:
+        raise ModelFileError(f"{where}: {exc}") from exc
+
+
+def _fixed_point(raw, torus_rank: int, where: str) -> FixedPointDatum:
+    p = _object(raw, where, "name")
+    where = f"{where}[{p['name']}]"
+    tangent = _object(p.get("tangent", {}), where)
+    weights = tuple(
+        (tuple(_int(c, where) for c in _list(vec, where)), _int(mult, where))
+        for vec, mult in _rows(tangent.get("weights", []), 2, where)
+    )
+    trivial = _int(tangent.get("trivial_real_multiplicity", 0), where)
+    return FixedPointDatum(
+        name=str(p["name"]),
+        tangent=_build(where, LinearRepresentation, torus_rank, trivial, weights),
+        evaluations={
+            gname: _rational(value, where)
+            for gname, value in _object(p.get("evaluations", {}), where).items()
+        },
+        restrictions={
+            cname: _poly(poly, torus_rank, where)
+            for cname, poly in _object(p.get("restrictions", {}), where).items()
+        },
+    )
+
+
 def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, ValidationReport]:
     version = data.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -735,118 +778,64 @@ def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, Validation
             f"{where}: unsupported schema_version {version!r} "
             f"(this build reads version {SCHEMA_VERSION})"
         )
-    try:
-        torus_rank = int(data["torus_rank"])
-        gen_items = data["generators"]
-        generators = tuple(
-            Generator(str(item["name"]), int(item["degree"])) for item in gen_items
+    _object(data, where, "torus_rank", "generators")
+    torus_rank = _int(data["torus_rank"], f"{where}:torus_rank", 0)
+    generators = tuple(
+        Generator(str(item["name"]), _int(item["degree"], f"{where}:generators"))
+        for item in (
+            _object(raw, f"{where}:generators", "name", "degree")
+            for raw in _list(data["generators"], f"{where}:generators")
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFileError(f"{where}: bad header fields: {exc}") from exc
+    )
     names = [g.name for g in generators]
     if len(set(names)) != len(names):
         raise ModelFileError(f"{where}: duplicate generator names")
     size = len(generators)
-    d = _matrix_from_triplets(data.get("d", []), size, f"{where}:d")
-    raw_contr = data.get("contractions", [])
-    if len(raw_contr) != torus_rank:
-        raise ModelFileError(
-            f"{where}: expected {torus_rank} contraction blocks, got {len(raw_contr)}"
-        )
-    contractions = tuple(
-        _matrix_from_triplets(block, size, f"{where}:contractions[{i}]")
-        for i, block in enumerate(raw_contr)
+    square = (size, size)
+
+    def matrix(raw, at: str):
+        return _matrix(size, _sparse(raw, square, f"{where}:{at}"))
+
+    blocks = _list(data.get("contractions", []), f"{where}:contractions", torus_rank)
+    model = _build(
+        where,
+        InvariantModel,
+        name=str(data.get("name", "unnamed")),
+        torus_rank=torus_rank,
+        generators=generators,
+        d=matrix(data.get("d", []), "d"),
+        contractions=tuple(
+            matrix(block, f"contractions[{i}]") for i, block in enumerate(blocks)
+        ),
+        top_degree=_int(data.get("top_degree", 0), f"{where}:top_degree"),
+        compact=bool(data.get("compact", False)),
+        integration=_sparse(
+            data.get("integration", []), (size,), f"{where}:integration"
+        ),
+        # an empty value list declares a zero product
+        product_table=_sparse(
+            data.get("product_table", []),
+            square,
+            f"{where}:product_table",
+            lambda row, at: _sparse(row, (size,), at),
+        ),
+        fixed_points=tuple(
+            _fixed_point(p, torus_rank, f"{where}:fixed_points")
+            for p in _list(data.get("fixed_points", []), f"{where}:fixed_points")
+        ),
+        named_cocycles={
+            name: _sparse(
+                raw,
+                (size,),
+                f"{where}:named_cocycles[{name}]",
+                lambda poly, at: _poly(poly, torus_rank, at),
+            )
+            for name, raw in _object(
+                data.get("named_cocycles", {}), f"{where}:named_cocycles"
+            ).items()
+        },
+        notes=tuple(str(s) for s in _list(data.get("notes", []), f"{where}:notes")),
     )
-    integration = {}
-    for item in data.get("integration", []):
-        if not (isinstance(item, list) and len(item) == 2 and isinstance(item[0], int)):
-            raise ModelFileError(f"{where}:integration: expected [index, value]")
-        idx, value = item
-        if idx in integration:
-            raise ModelFileError(f"{where}:integration: duplicate index {idx}")
-        integration[idx] = _parse_frac(value, f"{where}:integration[{idx}]")
-    product_table: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for item in data.get("product_table", []):
-        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[2], list)):
-            raise ModelFileError(
-                f"{where}:product_table: expected [i, j, [[k, value], ...]]"
-            )
-        i, j, entries = item
-        if (i, j) in product_table:
-            raise ModelFileError(f"{where}:product_table: duplicate pair ({i}, {j})")
-        value: Dict[int, Fraction] = {}
-        for pair in entries:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ModelFileError(
-                    f"{where}:product_table[{i},{j}]: expected [k, value]"
-                )
-            k, raw = pair
-            if k in value:
-                raise ModelFileError(
-                    f"{where}:product_table: duplicate ({i}, {j}, {k})"
-                )
-            value[int(k)] = _parse_frac(raw, f"{where}:product_table[{i},{j},{k}]")
-        product_table[(int(i), int(j))] = value
-    named = {}
-    for cname, raw in data.get("named_cocycles", {}).items():
-        coeffs = {}
-        for item in raw:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise ModelFileError(
-                    f"{where}:named_cocycles[{cname}]: expected [index, polynomial]"
-                )
-            idx, poly = item
-            coeffs[int(idx)] = _poly_from_json(
-                poly, torus_rank, f"{where}:named_cocycles[{cname}]"
-            )
-        named[str(cname)] = coeffs
-    points = []
-    for p in data.get("fixed_points", []):
-        tangent_data = p.get("tangent", {})
-        weights = tuple(
-            (Weight(tuple(int(x) for x in vec)), int(mult))
-            for vec, mult in tangent_data.get("weights", [])
-        )
-        tangent = LinearRepresentation(
-            torus_rank,
-            int(tangent_data.get("trivial_real_multiplicity", 0)),
-            weights,
-        )
-        points.append(
-            FixedPointDatum(
-                name=str(p["name"]),
-                tangent=tangent,
-                evaluations={
-                    str(gname): _parse_frac(
-                        value, f"{where}:fixed_points[{p['name']}]"
-                    )
-                    for gname, value in p.get("evaluations", {}).items()
-                },
-                restrictions={
-                    str(cname): _poly_from_json(
-                        poly, torus_rank, f"{where}:fixed_points[{p['name']}]"
-                    )
-                    for cname, poly in p.get("restrictions", {}).items()
-                },
-            )
-        )
-    try:
-        model = InvariantModel(
-            name=str(data.get("name", "unnamed")),
-            torus_rank=torus_rank,
-            generators=generators,
-            d=d,
-            contractions=contractions,
-            top_degree=int(data.get("top_degree", 0)),
-            compact=bool(data.get("compact", False)),
-            integration=integration,
-            product_table=product_table,
-            fixed_points=tuple(points),
-            named_cocycles=named,
-            notes=tuple(str(s) for s in data.get("notes", [])),
-        )
-    except ValueError as exc:
-        raise ModelFileError(f"{where}: {exc}") from exc
     report = validate_model(model)
     if not report.ok:
         raise ModelFileError(f"{where}: model rejected:\n{report}")
@@ -874,58 +863,62 @@ def _resolve_map_end(ref, own_model: InvariantModel, where: str) -> InvariantMod
     )
 
 
-def load_model_file(path: str) -> ModelFile:
-    """Parse, rebuild, and fully validate a model file (model and maps)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _map_from_dict(
+    raw, name: str, model: InvariantModel, where: str
+) -> Tuple[ModelMap, MapReport]:
+    raw = _object(raw, where)
+    source = _resolve_map_end(raw.get("source"), model, where)
+    target = _resolve_map_end(raw.get("target"), model, where)
+    rows, cols = len(source.generators), len(target.generators)
+    entries = _sparse(raw.get("pullback", []), (rows, cols), f"{where}:pullback")
+    model_map = _build(
+        where,
+        ModelMap,
+        name=name,
+        source=source,
+        target=target,
+        pullback=_matrix(rows, entries, cols),
+        proper=bool(raw.get("proper", True)),
+    )
+    report = validate_map(model_map)
+    if not report.ok:
+        raise ModelFileError(f"{where}: map rejected:\n{report}")
+    return model_map, report
+
+
+def _read_json(path) -> dict:
+    """The top-level object of a model file; OSError if it cannot be read."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelFileError(
             f"{path}:{exc.lineno}:{exc.colno}: not valid JSON: {exc.msg}"
         ) from exc
-    if not isinstance(data, dict):
-        raise ModelFileError(f"{path}: top level must be an object")
+    except (ValueError, RecursionError) as exc:  # too long a number, too deep a nest
+        raise ModelFileError(f"{path}: not readable as JSON: {exc}") from exc
+    return _object(data, f"{path}: top level")
+
+
+def load_model_file(path: str) -> ModelFile:
+    """Parse, rebuild and validate a model file: the model and every map."""
+    data = _read_json(path)
     model, report = _model_from_dict(data, path)
     maps, map_reports = {}, {}
-    for mname, raw in data.get("maps", {}).items():
-        where = f"{path}:maps[{mname}]"
-        source = _resolve_map_end(raw.get("source"), model, where)
-        target = _resolve_map_end(raw.get("target"), model, where)
-        entries: Dict[Tuple[int, int], Fraction] = {}
-        for item in raw.get("pullback", []):
-            if not (isinstance(item, list) and len(item) == 3):
-                raise ModelFileError(f"{where}: expected [row, col, value]")
-            s, t, value = item
-            entries[(int(s), int(t))] = _parse_frac(value, where)
-        pullback = [
-            [Fraction(0)] * len(target.generators)
-            for _ in range(len(source.generators))
-        ]
-        for (s, t), value in entries.items():
-            if not (0 <= s < len(source.generators) and 0 <= t < len(target.generators)):
-                raise ModelFileError(f"{where}: pullback indices out of range")
-            pullback[s][t] = value
-        try:
-            model_map = ModelMap(
-                name=str(mname),
-                source=source,
-                target=target,
-                pullback=tuple(tuple(row) for row in pullback),
-                proper=bool(raw.get("proper", True)),
-            )
-        except ValueError as exc:
-            raise ModelFileError(f"{where}: {exc}") from exc
-        map_report = validate_map(model_map)
-        if not map_report.ok:
-            raise ModelFileError(f"{where}: map rejected:\n{map_report}")
-        maps[str(mname)] = model_map
-        map_reports[str(mname)] = map_report
+    for name, raw in _object(data.get("maps", {}), f"{path}:maps").items():
+        maps[name], map_reports[name] = _map_from_dict(
+            raw, name, model, f"{path}:maps[{name}]"
+        )
     return ModelFile(model=model, maps=maps, report=report, map_reports=map_reports)
 
 
 def load_model(path: str) -> InvariantModel:
-    return load_model_file(path).model
+    """The validated model of a model file; its maps are not read."""
+    return _model_from_dict(_read_json(path), path)[0]
 
 
 def save_model(

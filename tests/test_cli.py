@@ -58,6 +58,8 @@ def test_missing_model_file_is_a_usage_error(capsys):
     assert "no such model file" in err
     code, out, err = invoke(capsys, "duality", "--model", "does_not_exist.json")
     assert code == 1
+    code, out, err = invoke(capsys, "gysin", "--map", "does_not_exist.json#north")
+    assert (code, out, err) == (1, "", "error: no such model file: does_not_exist.json\n")
 
 
 def test_missing_required_argument(capsys):
@@ -189,6 +191,14 @@ def test_a_model_file_is_validated_once(capsys, count_calls, monkeypatch, argv, 
     assert run(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_a_model_command_reads_no_maps(capsys, count_calls, monkeypatch):
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    calls = count_calls(equicart.gysin.validate_map)
+    assert run(["duality", "--model", "modelfiles/point_with_s2_maps.json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 0
 
 
 def test_the_loader_still_refuses_a_broken_map(capsys, count_calls):
@@ -614,6 +624,13 @@ def test_seed_defaults_to_environment(capsys, monkeypatch):
         capsys, "classify", "--matrix", "u,0;0,u", "--seed", "11"
     )
     assert payload["seed"] == 11
+
+
+def test_a_non_integer_seed_in_the_environment_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
+    assert invoke(capsys, "cohomology", "--model", "builtin:point") == (
+        1, "", "error: EQUICART_SEED must be an integer, got 'abc'\n"
+    )
 
 
 def test_text_format_is_the_default(capsys):

@@ -105,6 +105,37 @@ def test_contraction_degree_violation_is_witnessed():
     assert any(issue.axiom == "c_1 has degree -1" for issue in report.issues)
 
 
+def test_degree_violations_are_reported_in_a_fixed_order():
+    # a model's degree issues come column by column (d(a) before d(c)), a
+    # map's row by row: the printed reports depend on both orders
+    zero, one = Fraction(0), Fraction(1)
+    d = [[zero] * 4 for _ in range(4)]
+    d[1][0] = d[3][0] = d[0][2] = one  # d(a) = b + e, d(c) = a
+    model = InvariantModel(
+        name="bad_degrees",
+        torus_rank=1,
+        generators=(Generator("a", 0), Generator("b", 0), Generator("c", 1),
+                    Generator("e", 2)),
+        d=tuple(map(tuple, d)),
+        contractions=(tuple((zero,) * 4 for _ in range(4)),),
+        top_degree=2,
+    )
+    assert [str(issue) for issue in validate_model(model).issues] == [
+        "[d has degree +1] at a -> b: degrees 0 -> 0",
+        "[d has degree +1] at a -> e: degrees 0 -> 2",
+        "[d has degree +1] at c -> a: degrees 1 -> 0",
+        "[d o d = 0] at c: 1*b + 1*e",
+    ]
+    circle = circle_trivial(1)
+    swap = gysin.ModelMap(
+        name="swap", source=circle, target=circle, pullback=((zero, one), (one, zero))
+    )
+    assert [str(issue) for issue in validate_map(swap).issues] == [
+        "[pullback has degree 0] at a -> one: degrees 1 -> 0",
+        "[pullback has degree 0] at one -> a: degrees 0 -> 1",
+    ]
+
+
 def test_contraction_anticommutation_between_variables():
     # c1(x) = y, c2(y) = z: (c1 c2 + c2 c1)(x) = z
     zero3 = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from equicart.algebra import Polynomial
+from equicart.cli import run
 from equicart.duality import duality_check
 from equicart.euler import Weight, euler_linear, localization_consistency
 from equicart.gcomplex import (
@@ -36,6 +40,9 @@ from equicart.models import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+MODELFILES = Path(__file__).resolve().parent.parent / "modelfiles"
+SHIPPED = ("circle_free.json", "point_with_s2_maps.json", "s2_rotation.json",
+           "two_weighted_planes.json")
 
 ALL_BUILTINS = ["point(1)", "point(2)", "circle_trivial(1)", "circle_trivial(2)",
                 "circle_free", "rema_adj", "s2_rotation", "obstruction_pair",
@@ -369,3 +376,125 @@ def test_rejects_duplicate_matrix_entries():
 def test_missing_file_surfaces_as_file_not_found():
     with pytest.raises(FileNotFoundError):
         load_model_file(FIXTURES / "no_such_file.json")
+
+
+_DROP = object()
+
+
+def _edit(document, path, value):
+    """Set the item at path (object keys and list positions) to value, or
+    remove it for _DROP."""
+    *parents, last = path
+    node = document
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+
+
+# (shipped file, path, value) of one malformed edit each
+MALFORMED = {
+    "string index in a pullback": (
+        "point_with_s2_maps.json", ("maps", "north", "pullback", 1, 1), "x"),
+    "string index in product_table": ("s2_rotation.json", ("product_table", 1, 1), "x"),
+    "string index in named_cocycles": (
+        "s2_rotation.json", ("named_cocycles", "w", 0, 0), "x"),
+    "fixed point without a name": ("s2_rotation.json", ("fixed_points", 0, "name"), _DROP),
+    "maps a list": ("s2_rotation.json", ("maps",), [1]),
+    "contractions a number": ("s2_rotation.json", ("contractions",), 5),
+    "weight multiplicity 0": (
+        "s2_rotation.json", ("fixed_points", 0, "tangent", "weights", 0, 1), 0),
+    # the truncated (0, 1) -> {1: 1} is circle_free's own entry
+    "float index in product_table": (
+        "circle_free.json", ("product_table", 1), [0, 1.7, [[1.2, "1"]]]),
+    "duplicate pullback entry": (
+        "point_with_s2_maps.json", ("maps", "north", "pullback"),
+        [[0, 0, "1"], [0, 1, "1"], [0, 1, "1"]]),
+}
+# malformed files that are not a shipped file with one edit
+RAW = {
+    "not UTF-8": b'{"name": "\xff"}',
+    "integer too long to convert": b'{"schema_version": 1' + b"0" * 5000 + b"}",
+    "nesting too deep": b"[" * 100000 + b"]" * 100000,
+}
+PROBES = sorted(MALFORMED) + sorted(RAW)
+
+
+def _write_malformed(tmp_path, probe: str) -> Path:
+    path = tmp_path / "malformed.json"
+    if probe in RAW:
+        path.write_bytes(RAW[probe])
+        return path
+    name, where, value = MALFORMED[probe]
+    document = json.loads((MODELFILES / name).read_text())
+    _edit(document, where, value)
+    path.write_text(json.dumps(document))
+    return path
+
+
+@pytest.mark.parametrize("probe", PROBES)
+def test_a_malformed_file_is_a_model_file_error(probe, tmp_path):
+    with pytest.raises(ModelFileError):
+        load_model_file(_write_malformed(tmp_path, probe))
+
+
+@pytest.mark.parametrize("probe", PROBES + ["a directory"])
+def test_the_cli_refuses_a_malformed_file_with_a_typed_error(probe, tmp_path, capsys):
+    path = tmp_path if probe == "a directory" else _write_malformed(tmp_path, probe)
+    code = run(["validate", "--model", str(path), "--format", "json"])
+    out, err = capsys.readouterr()
+    if probe == "a directory":
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+    else:
+        payload = json.loads(out)
+        assert (code, err, payload["ok"]) == (2, "", False)
+        assert payload["error"].startswith(str(path))
+
+
+def _nodes(node, path=()):
+    """(path, value) of every item below node."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+WRONG_TYPES = (None, True, 2.5, "x", [], {}, 3)
+
+
+@seed(20261018)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_a_mutated_shipped_file_loads_or_is_refused(data, tmp_path_factory):
+    document = json.loads((MODELFILES / data.draw(st.sampled_from(SHIPPED))).read_text())
+    nodes = list(_nodes(document))
+    kind = data.draw(st.sampled_from(["drop", "retype", "duplicate", "out of range"]))
+    if kind == "duplicate":
+        lists = [(p, v) for p, v in nodes if isinstance(v, list) and v]
+        path, value = data.draw(st.sampled_from(lists))
+        value.append(copy.deepcopy(data.draw(st.sampled_from(value))))
+    elif kind == "out of range":
+        ints = [(p, v) for p, v in nodes if type(v) is int]
+        path, _ = data.draw(st.sampled_from(ints))
+        _edit(document, path, data.draw(st.sampled_from([-1, 1000])))
+    else:
+        path, value = data.draw(st.sampled_from(nodes))
+        if kind == "drop":
+            _edit(document, path, _DROP)
+        else:
+            others = [v for v in WRONG_TYPES if type(v) is not type(value)]
+            _edit(document, path, data.draw(st.sampled_from(others)))
+    target = tmp_path_factory.getbasetemp() / "mutated.json"
+    target.write_text(json.dumps(document))
+    try:
+        load_model_file(target)
+    except (ModelFileError, UnknownModelError):
+        pass
