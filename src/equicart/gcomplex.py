@@ -11,6 +11,12 @@ and its cohomology is computed two ways: exactly degree by degree over Q
 (Hilbert table), and generically over the fraction field, where the grading
 collapses to parity because the degree-2 variables become invertible.
 
+Both read one sparse table of d_T per model, built the first time either
+asks for it and kept on the (immutable) model: per generator g, the nonzero
+entries h -> d[h][g] + sum_i u_i c_i[h][g].  The generic engine feeds its
+parity blocks to the eliminations column by column (image) or transposed
+(kernel); the Hilbert engine splits each entry back into its d and c_i terms.
+
 Whether a model faithfully truncates the invariant forms of an actual group
 action is the caller's assertion; the model IS the input.  The builtin
 library documents its derivations.
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -135,6 +142,25 @@ class InvariantModel:
 
     def default_cutoff(self) -> int:
         return 2 * self.top_degree + 2 * self.torus_rank + 4
+
+    @cached_property
+    def _cartan_table(self) -> Tuple[Dict[int, Polynomial], ...]:
+        """Per generator g, d_T(1 tensor g) as {h: d[h][g] + sum_i u_i
+        c_i[h][g]} over its nonzero entries, h ascending; entries of the
+        wrong degree or parity are kept, each engine filters its own.  Built
+        on first use: a model is frozen and its matrices are tuples, and
+        ``dataclasses.replace`` makes a new model with a table of its own."""
+        n = self.torus_rank
+        units = [(0,) * n] + [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        columns: List[Dict[int, dict]] = [{} for _ in self.generators]
+        for exps, matrix in zip(units, (self.d,) + self.contractions):
+            for h, row in enumerate(matrix):
+                for g, value in enumerate(row):
+                    if value:
+                        columns[g].setdefault(h, {})[exps] = value
+        return tuple(
+            {h: Polynomial(n, column[h]) for h in sorted(column)} for column in columns
+        )
 
 
 @dataclass
@@ -582,25 +608,43 @@ def validate_model(model: InvariantModel) -> ValidationReport:
 # -- generic (fraction-field) cohomology --------------------------------------
 
 
+def _block_columns(
+    model: InvariantModel, sources: Sequence[int], targets: Sequence[int]
+) -> List[Dict[int, Polynomial]]:
+    """The block of d_T from the sources into the targets (the generators of
+    the other parity), column by column: per source generator, {target
+    position: entry}, positions ascending.  Entries into a generator of the
+    source's own parity lie outside the 2-periodic complex and are dropped."""
+    position = {h: k for k, h in enumerate(targets)}
+    table = model._cartan_table
+    return [
+        {position[h]: entry for h, entry in table[g].items() if h in position}
+        for g in sources
+    ]
+
+
+def _transposed(columns: Sequence[Mapping[int, Polynomial]], height: int) -> List[dict]:
+    """The rows of a block given by its columns, keys ascending."""
+    rows: List[dict] = [{} for _ in range(height)]
+    for g, column in enumerate(columns):
+        for h, entry in column.items():
+            rows[h][g] = entry
+    return rows
+
+
 def cartan_parity_matrices(model: InvariantModel) -> tuple:
-    """(even_idx, odd_idx, A_eo, A_oe): d_T on the 2-periodic complex.
+    """(even_idx, odd_idx, A_eo, A_oe): d_T on the 2-periodic complex, dense.
 
     A_eo maps the even span into the odd span (rows indexed by odd
-    generators) with Polynomial entries d[h][g] + sum_i u_i c_i[h][g].
+    generators) with Polynomial entries d[h][g] + sum_i u_i c_i[h][g], read
+    from the model's sparse d_T table; ``cohomology_generic`` reads that
+    table directly, this view serves the presentation and decomposition
+    code, which works on dense rows.
     """
     even, odd = model.parity_indices()
-    n = model.torus_rank
-
-    def entry(h: int, g: int) -> Polynomial:
-        p = Polynomial.constant(n, model.d[h][g])
-        for i in range(n):
-            coeff = model.contractions[i][h][g]
-            if coeff != 0:
-                p = p + Polynomial.variable(n, i) * coeff
-        return p
-
-    a_eo = [[entry(h, g) for g in even] for h in odd]
-    a_oe = [[entry(h, g) for g in odd] for h in even]
+    table, zero = model._cartan_table, Polynomial.zero(model.torus_rank)
+    a_eo = [[table[g].get(h, zero) for g in even] for h in odd]
+    a_oe = [[table[g].get(h, zero) for g in odd] for h in even]
     return even, odd, a_eo, a_oe
 
 
@@ -656,18 +700,17 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
     representative cocycles independent modulo the image.
 
     The model's named cocycles are used as representatives when they span;
-    otherwise representatives are drawn from a computed kernel basis.
+    otherwise representatives are drawn from a computed kernel basis.  Four
+    eliminations of sparse rows from the model's d_T table: the image in
+    each parity (the block's columns) and the kernel of each outgoing block
+    (its rows); an image is rebuilt only when named cocycles extended it.
     """
-    even, odd, a_eo, a_oe = cartan_parity_matrices(model)
+    even, odd = model.parity_indices()
     n = model.torus_rank
-
-    def image(matrix, width: int, source_len: int) -> Echelon:
-        # the columns of the matrix span its image
-        columns = ([matrix[i][j] for i in range(width)] for j in range(source_len))
-        return _echelon(columns, width, n)
-
-    im_e = image(a_oe, len(even), len(odd))
-    im_o = image(a_eo, len(odd), len(even))
+    into_even = _block_columns(model, odd, even)  # the columns of A_oe
+    into_odd = _block_columns(model, even, odd)  # the columns of A_eo
+    im_e = _echelon(into_even, len(even), n)
+    im_o = _echelon(into_odd, len(odd), n)
     even_rank = len(even) - im_o.rank - im_e.rank
     odd_rank = len(odd) - im_e.rank - im_o.rank
     if even_rank < 0 or odd_rank < 0:
@@ -696,11 +739,15 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
                 for nm, raw in named_even + named_odd:
                     reps.append((nm, EquivariantElement(model, dict(raw))))
                 return GenericCohomology(even_rank, odd_rank, tuple(reps))
+            if ok_e:
+                im_e = _echelon(into_even, len(even), n)
+            if ok_o:
+                im_o = _echelon(into_odd, len(odd), n)
 
-    def computed_reps(a_out, a_in, indices, in_len, rank, prefix):
+    def computed_reps(outgoing, image, indices, out_len, rank, prefix):
         out = []
-        kernel = _echelon(a_out, len(indices), n).kernel()
-        chosen = _independent_mod_image(image(a_in, len(indices), in_len), kernel, rank)
+        kernel = _echelon(_transposed(outgoing, out_len), len(indices), n).kernel()
+        chosen = _independent_mod_image(image, kernel, rank)
         for count, idx in enumerate(chosen):
             terms = {
                 gen_idx: kernel[idx][pos]
@@ -710,8 +757,8 @@ def cohomology_generic(model: InvariantModel) -> GenericCohomology:
             out.append((f"{prefix}{count}", EquivariantElement(model, terms)))
         return out
 
-    reps.extend(computed_reps(a_eo, a_oe, even, len(odd), even_rank, "even_"))
-    reps.extend(computed_reps(a_oe, a_eo, odd, len(even), odd_rank, "odd_"))
+    reps.extend(computed_reps(into_odd, im_e, even, len(odd), even_rank, "even_"))
+    reps.extend(computed_reps(into_even, im_o, odd, len(even), odd_rank, "odd_"))
     if len(reps) != even_rank + odd_rank:
         raise AssertionError("failed to assemble independent representatives")
     return GenericCohomology(even_rank, odd_rank, tuple(reps))
@@ -743,7 +790,10 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
     Slice k of S(t) tensor C has basis u^e tensor g with 2|e| + |g| = k; its
     dimension is counted, not enumerated.  The rank of d_T from slice k to
     slice k+1 is taken over the rows of generators with a term only: an
-    inert generator (zero column in d and every c_i) spans part of the kernel.
+    inert generator (an empty column of the model's d_T table) spans part of
+    the kernel.  Each table entry splits into its d term (the constant) and
+    its c_i terms (the coefficients of u_i); a term of the wrong degree has
+    no target in the next slice and is dropped.
     """
     if cutoff is None:
         cutoff = model.default_cutoff()
@@ -755,15 +805,14 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
         for j in range((cutoff + 1 - deg) // 2 + 1 if deg >= 0 else 0):
             dims[deg + 2 * j] += _monomial_count(n, j)
     # per source generator: the terms (variable index or None for d, h, entry)
-    # that land in the next slice; a term of the wrong degree has no target
+    # that land in the next slice
     terms: List[list] = [[] for _ in degrees]
-    operators = [(None, model.d, 1)]
-    operators += [(i, c, -1) for i, c in enumerate(model.contractions)]
-    for shift, matrix, step in operators:
-        for h, row in enumerate(matrix):
-            for g, entry in enumerate(row):
-                if entry != 0 and degrees[h] == degrees[g] + step >= 0:
-                    terms[g].append((shift, h, entry))
+    for g, column in enumerate(model._cartan_table):
+        for h, entry in column.items():
+            for exps, value in entry.terms.items():
+                shift = exps.index(1) if any(exps) else None
+                if degrees[h] == degrees[g] + (1 if shift is None else -1) >= 0:
+                    terms[g].append((shift, h, value))
     active = [g for g, deg in enumerate(degrees) if terms[g] and 0 <= deg <= cutoff]
     top = max((cutoff - degrees[g]) // 2 for g in active) if active else -1
     monomials = _monomials_by_degree(n, top)

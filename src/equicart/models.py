@@ -708,6 +708,14 @@ def _int(value, where: str, lo: Optional[int] = None, hi: Optional[int] = None) 
     return value
 
 
+def _exact(value, kind: type, where: str):
+    """A JSON value of exactly this type (bool for a flag, str for a name),
+    never converted: "false" is not a flag and 7 is not a name."""
+    if type(value) is not kind:
+        raise ModelFileError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
 def _rational(value, where: str) -> Fraction:
     """An exact rational: a "p/q" string or a JSON number, read from its text."""
     try:
@@ -758,7 +766,7 @@ def _fixed_point(raw, torus_rank: int, where: str) -> FixedPointDatum:
     )
     trivial = _int(tangent.get("trivial_real_multiplicity", 0), where)
     return FixedPointDatum(
-        name=str(p["name"]),
+        name=_exact(p["name"], str, where),
         tangent=_build(where, LinearRepresentation, torus_rank, trivial, weights),
         evaluations={
             gname: _rational(value, where)
@@ -781,7 +789,10 @@ def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, Validation
     _object(data, where, "torus_rank", "generators")
     torus_rank = _int(data["torus_rank"], f"{where}:torus_rank", 0)
     generators = tuple(
-        Generator(str(item["name"]), _int(item["degree"], f"{where}:generators"))
+        Generator(
+            _exact(item["name"], str, f"{where}:generators"),
+            _int(item["degree"], f"{where}:generators"),
+        )
         for item in (
             _object(raw, f"{where}:generators", "name", "degree")
             for raw in _list(data["generators"], f"{where}:generators")
@@ -800,7 +811,7 @@ def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, Validation
     model = _build(
         where,
         InvariantModel,
-        name=str(data.get("name", "unnamed")),
+        name=_exact(data.get("name", "unnamed"), str, f"{where}:name"),
         torus_rank=torus_rank,
         generators=generators,
         d=matrix(data.get("d", []), "d"),
@@ -808,7 +819,7 @@ def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, Validation
             matrix(block, f"contractions[{i}]") for i, block in enumerate(blocks)
         ),
         top_degree=_int(data.get("top_degree", 0), f"{where}:top_degree"),
-        compact=bool(data.get("compact", False)),
+        compact=_exact(data.get("compact", False), bool, f"{where}:compact"),
         integration=_sparse(
             data.get("integration", []), (size,), f"{where}:integration"
         ),
@@ -834,7 +845,10 @@ def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, Validation
                 data.get("named_cocycles", {}), f"{where}:named_cocycles"
             ).items()
         },
-        notes=tuple(str(s) for s in _list(data.get("notes", []), f"{where}:notes")),
+        notes=tuple(
+            _exact(s, str, f"{where}:notes")
+            for s in _list(data.get("notes", []), f"{where}:notes")
+        ),
     )
     report = validate_model(model)
     if not report.ok:
@@ -878,7 +892,7 @@ def _map_from_dict(
         source=source,
         target=target,
         pullback=_matrix(rows, entries, cols),
-        proper=bool(raw.get("proper", True)),
+        proper=_exact(raw.get("proper", True), bool, f"{where}:proper"),
     )
     report = validate_map(model_map)
     if not report.ok:

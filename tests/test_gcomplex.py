@@ -3,13 +3,14 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from equicart.algebra import Polynomial, RationalFunction, rank_rational
+from equicart.algebra import Echelon, Polynomial, RationalFunction, rank_and_solve, rank_rational
 from equicart.gcomplex import (
     EquivariantElement,
     Generator,
@@ -38,10 +39,13 @@ from equicart.models import (
     builtin,
     circle_free,
     circle_trivial,
+    load_model,
     point,
     s2_rotation,
     tensor_product,
 )
+
+MODELFILES = Path(__file__).resolve().parent.parent / "modelfiles"
 
 U = Polynomial.variable(1, 0)
 
@@ -501,6 +505,162 @@ def test_validators_accept_the_largest_rank_one_product():
     model = tensor_product(s2_rotation(), s2_rotation())
     assert validate_model(model).ok
     assert validate_map(identity_map(model)).ok
+
+
+# -- the sparse d_T table ---------------------------------------------------------
+
+
+def _dense_parity_blocks(model):
+    """Reference A_eo and A_oe, entry by entry from d and each c_i."""
+    n = model.torus_rank
+    even, odd = model.parity_indices()
+
+    def entry(h, g):
+        p = Polynomial.constant(n, model.d[h][g])
+        for i, c in enumerate(model.contractions):
+            p = p + Polynomial.variable(n, i) * c[h][g]
+        return p
+
+    a_eo = [[entry(h, g) for g in even] for h in odd]
+    a_oe = [[entry(h, g) for g in odd] for h in even]
+    return even, odd, a_eo, a_oe
+
+
+def _misplaced(draw, model, kind):
+    """The model with one d or c_i entry put where the operator's degree
+    rules it out: between generators of one parity ("parity"), or of the
+    other parity but the wrong degree ("degree"); None when there is no
+    such place."""
+    degrees = model.degrees()
+    operators = [("d", 1)] + [(i, -1) for i in range(model.torus_rank)]
+    which, shift = draw(st.sampled_from(operators))
+    places = [
+        (h, g)
+        for h, dh in enumerate(degrees)
+        for g, dg in enumerate(degrees)
+        if (dh - dg) % 2 == (0 if kind == "parity" else 1) and dh - dg != shift
+    ]
+    if not places:
+        return None
+    h, g = draw(st.sampled_from(places))
+    value = Fraction(draw(st.sampled_from([-2, -1, 1, 2])), draw(st.integers(1, 2)))
+    matrix = model.d if which == "d" else model.contractions[which]
+    rows = [list(row) for row in matrix]
+    rows[h][g] = value
+    matrix = tuple(map(tuple, rows))
+    if which == "d":
+        return dataclasses.replace(model, d=matrix)
+    contractions = list(model.contractions)
+    contractions[which] = matrix
+    return dataclasses.replace(model, contractions=tuple(contractions))
+
+
+@st.composite
+def cartan_cases(draw):
+    """(clean, model, kind, cutoff): a derived model of at most 24
+    generators, and the same model (kind None) or a copy with one entry
+    misplaced as ``_misplaced`` does (kind "parity" or "degree")."""
+    clean, cutoff = draw(derived_models().filter(lambda case: len(case[0].generators) <= 24))
+    kind = draw(st.sampled_from([None, "parity", "degree"]))
+    model = _misplaced(draw, clean, kind) if kind else None
+    if model is None:
+        return clean, clean, None, cutoff
+    return clean, model, kind, cutoff
+
+
+def _apply(block, vector, n):
+    return [
+        sum((RationalFunction.coerce(a, n) * x for a, x in zip(row, vector)),
+            RationalFunction.zero(n))
+        for row in block
+    ]
+
+
+@seed(20261018)
+@settings(max_examples=50)
+@given(cartan_cases())
+def test_the_sparse_table_agrees_with_a_dense_reference(case):
+    clean, model, kind, cutoff = case
+    n = model.torus_rank
+    # the Hilbert engine drops every entry of the wrong degree
+    assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(clean, cutoff)
+    even, odd, a_eo, a_oe = _dense_parity_blocks(model)
+    r_eo = rank_and_solve(a_eo, torus_rank=n, cols=len(even)).rank
+    r_oe = rank_and_solve(a_oe, torus_rank=n, cols=len(odd)).rank
+    ranks = (len(even) - r_eo - r_oe, len(odd) - r_oe - r_eo)
+    try:
+        generic = cohomology_generic(model)
+    except AssertionError:
+        # only a model whose d_T does not square to zero may fail
+        assert kind == "degree"
+        return
+    assert (generic.even_rank, generic.odd_rank) == ranks
+    if kind == "parity":  # the generic engine drops an entry within a parity
+        clean_reps = cohomology_generic(clean).representatives
+        assert [(nm, str(el)) for nm, el in generic.representatives] == [
+            (nm, str(el)) for nm, el in clean_reps
+        ]
+    for indices, outgoing, incoming, rank in (
+        (even, a_eo, a_oe, ranks[0]), (odd, a_oe, a_eo, ranks[1])
+    ):
+        reps = [
+            [RationalFunction.coerce(el.coefficient(g), n) for g in indices]
+            for el in generic.elements()
+            if all(i in indices for i in el.terms)
+        ]
+        assert len(reps) == rank
+        for vector in reps:
+            assert all(value.is_zero for value in _apply(outgoing, vector, n))
+        image = [list(column) for column in zip(*incoming)] if incoming else []
+        image_rank = rank_and_solve(image, torus_rank=n, cols=len(indices)).rank
+        both = rank_and_solve(image + reps, torus_rank=n, cols=len(indices)).rank
+        assert both == image_rank + rank
+
+
+def test_a_replaced_model_gets_its_own_table():
+    model = s2_rotation()
+    u = Polynomial.variable(1, 0)
+    table = model._cartan_table  # s -> u*q + tvol, t -> dt, ...
+    assert model._cartan_table is table
+    assert table[5] == {2: u, 7: Polynomial.one(1)}
+    zero = tuple((Fraction(0),) * 8 for _ in range(8))
+    plain = dataclasses.replace(model, d=zero)
+    assert plain._cartan_table[5] == {2: u}
+    assert model._cartan_table is table and table[1] == {3: Polynomial.one(1)}
+    assert cohomology_hilbert(plain, 6) == _brute_force_hilbert(plain, 6)
+    assert cohomology_hilbert(plain, 6) != cohomology_hilbert(model, 6)
+
+
+def _tuple_matrix(matrix) -> bool:
+    return type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+
+
+def _constructed_models():
+    s2 = s2_rotation()
+    models = _all_builtins() + [
+        tensor_product(s2, s2),
+        restrict_subtorus(s2, [[1, 2]]),
+        scale_contractions(s2, Fraction(2)),
+    ]
+    models += [load_model(path) for path in sorted(MODELFILES.glob("*.json"))]
+    return models
+
+
+@pytest.mark.parametrize("model", _constructed_models(), ids=lambda m: m.name)
+def test_every_constructor_stores_tuple_matrices(model):
+    # the d_T table is cached on the model: its matrices must not change
+    assert _tuple_matrix(model.d)
+    assert type(model.contractions) is tuple
+    assert all(_tuple_matrix(c) for c in model.contractions)
+
+
+def test_generic_cohomology_runs_four_eliminations(count_calls):
+    # an image and a kernel per parity; the images are not built twice
+    model = tensor_product(s2_rotation(), s2_rotation())
+    calls = count_calls(Echelon)
+    generic = cohomology_generic(model)
+    assert (generic.even_rank, generic.odd_rank) == (4, 0)
+    assert len(calls) == 4
 
 
 def test_point_hilbert_table_is_the_polynomial_ring():

@@ -412,6 +412,14 @@ MALFORMED = {
     "duplicate pullback entry": (
         "point_with_s2_maps.json", ("maps", "north", "pullback"),
         [[0, 0, "1"], [0, 1, "1"], [0, 1, "1"]]),
+    # flags and names are read as they are, never through bool() or str()
+    "compact a string": ("circle_free.json", ("compact",), "false"),
+    "compact a number": ("circle_free.json", ("compact",), 0),
+    "model name a number": ("circle_free.json", ("name",), 7),
+    "generator name a number": ("circle_free.json", ("generators", 1, "name"), 1),
+    "note a number": ("circle_free.json", ("notes", 0), 3),
+    "fixed point name a list": ("s2_rotation.json", ("fixed_points", 0, "name"), ["north"]),
+    "proper a string": ("point_with_s2_maps.json", ("maps", "north", "proper"), "true"),
 }
 # malformed files that are not a shipped file with one edit
 RAW = {
