@@ -11,11 +11,20 @@ and its cohomology is computed two ways: exactly degree by degree over Q
 (Hilbert table), and generically over the fraction field, where the grading
 collapses to parity because the degree-2 variables become invertible.
 
-Both read one sparse table of d_T per model, built the first time either
-asks for it and kept on the (immutable) model: per generator g, the nonzero
-entries h -> d[h][g] + sum_i u_i c_i[h][g].  The generic engine feeds its
-parity blocks to the eliminations column by column (image) or transposed
-(kernel); the Hilbert engine splits each entry back into its d and c_i terms.
+Every whole-matrix read goes through one sparse view per model, built the
+first time anything asks for it and kept on the (immutable) model: d and
+each c_i by their columns, per generator g the nonzero entries {h: value},
+h ascending.  It is the one scan of the dense matrices.  From it come:
+
+- the table of d_T, per generator g the nonzero entries
+  h -> d[h][g] + sum_i u_i c_i[h][g]; ``cartan_differential`` applies it in
+  one pass, the generic engine feeds its parity blocks to the eliminations
+  column by column (image) or transposed (kernel), and the Hilbert engine
+  splits each entry back into its d and c_i terms;
+- validation: degree checks walk the nonzero entries, and each operator
+  identity composes columns (column g of A o B is the sum of B[k][g] times
+  column k of A over the nonzero entries of B's column g), so a check costs
+  the products of nonzero entries, not g^3.
 
 Whether a model faithfully truncates the invariant forms of an actual group
 action is the caller's assertion; the model IS the input.  The builtin
@@ -27,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import comb
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -35,12 +45,12 @@ from .algebra import (
     Echelon,
     Polynomial,
     RationalFunction,
-    matmul,
     rank_rational,
 )
 from .euler import FixedPointDatum
 
 Coefficient = Union[Polynomial, RationalFunction]
+Columns = Sequence[Mapping[int, Fraction]]  # a matrix by its sparse columns
 
 
 class ModelStructureError(ValueError):
@@ -74,6 +84,12 @@ class InvariantModel:
     index pairs (i, j) with i <= j; the swapped product carries the graded
     sign (-1)^{|i||j|}.  Integration assigns a rational to every generator of
     degree top_degree when the model is compact.
+
+    The dense matrices are the stored form; the library reads them once,
+    into ``_operator_columns`` (d and each c_i by sparse columns), and
+    derives the d_T table ``_cartan_table`` from that view.  Both are built
+    on first use and kept: a model is frozen and its matrices are tuples,
+    and ``dataclasses.replace`` makes a new model with views of its own.
     """
 
     name: str
@@ -144,23 +160,51 @@ class InvariantModel:
         return 2 * self.top_degree + 2 * self.torus_rank + 4
 
     @cached_property
+    def _operator_columns(self) -> Tuple[Tuple[Dict[int, Fraction], ...], ...]:
+        """(d, c_1, ..., c_n), each by its columns: per generator g, the
+        nonzero entries {h: value} of column g, h ascending."""
+        size = len(self.generators)
+        return tuple(
+            _sparse_columns(matrix, size) for matrix in (self.d,) + self.contractions
+        )
+
+    @cached_property
     def _cartan_table(self) -> Tuple[Dict[int, Polynomial], ...]:
         """Per generator g, d_T(1 tensor g) as {h: d[h][g] + sum_i u_i
-        c_i[h][g]} over its nonzero entries, h ascending; entries of the
-        wrong degree or parity are kept, each engine filters its own.  Built
-        on first use: a model is frozen and its matrices are tuples, and
-        ``dataclasses.replace`` makes a new model with a table of its own."""
+        c_i[h][g]} over its nonzero entries, h ascending, read from
+        ``_operator_columns``; entries of the wrong degree or parity are
+        kept, each engine filters its own."""
         n = self.torus_rank
         units = [(0,) * n] + [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        columns: List[Dict[int, dict]] = [{} for _ in self.generators]
-        for exps, matrix in zip(units, (self.d,) + self.contractions):
-            for h, row in enumerate(matrix):
-                for g, value in enumerate(row):
-                    if value:
-                        columns[g].setdefault(h, {})[exps] = value
-        return tuple(
-            {h: Polynomial(n, column[h]) for h in sorted(column)} for column in columns
-        )
+        table = []
+        for g in range(len(self.generators)):
+            column: Dict[int, dict] = {}
+            for exps, operator in zip(units, self._operator_columns):
+                for h, value in operator[g].items():
+                    column.setdefault(h, {})[exps] = value
+            table.append({h: Polynomial(n, column[h]) for h in sorted(column)})
+        return tuple(table)
+
+
+def _sparse_columns(matrix, width: int) -> Tuple[Dict[int, Fraction], ...]:
+    """The columns of a dense matrix with ``width`` columns: per column g,
+    {h: value} over its nonzero entries, h ascending."""
+    columns: List[Dict[int, Fraction]] = [{} for _ in range(width)]
+    positions = range(width)
+    for h, row in enumerate(matrix):
+        for g in compress(positions, row):
+            columns[g][h] = row[g]
+    return tuple(columns)
+
+
+def _matrix(
+    rows: int, entries: Mapping[Tuple[int, int], Fraction], cols: Optional[int] = None
+):
+    """The dense rows x cols (square without cols) matrix of sparse entries."""
+    m = [[Fraction(0)] * (rows if cols is None else cols) for _ in range(rows)]
+    for (h, g), v in entries.items():
+        m[h][g] = Fraction(v)
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass
@@ -286,16 +330,15 @@ def named_cocycle_element(model: InvariantModel, name: str) -> EquivariantElemen
 
 def apply_rational_matrix(
     model: InvariantModel,
-    matrix: Sequence[Sequence[Fraction]],
+    columns: Sequence[Mapping[int, object]],
     x: EquivariantElement,
 ) -> EquivariantElement:
-    """Extend a generator-space matrix S(t)-linearly to elements."""
+    """Extend a generator-space matrix, given by its sparse columns,
+    S(t)-linearly to elements: sum over the terms P tensor g of x of
+    P * entry tensor h over the nonzero entries {h: entry} of column g."""
     terms: Dict[int, Coefficient] = {}
     for g, coeff in x.terms.items():
-        for h in range(len(model.generators)):
-            entry = matrix[h][g]
-            if entry == 0:
-                continue
+        for h, entry in columns[g].items():
             add = coeff * entry
             terms[h] = terms[h] + add if h in terms else add
     return EquivariantElement(model, terms)
@@ -304,16 +347,11 @@ def apply_rational_matrix(
 def cartan_differential(
     model: InvariantModel, x: EquivariantElement
 ) -> EquivariantElement:
-    """d_T(P tensor g) = P tensor d(g) + sum_i (u_i P) tensor c_i(g)."""
+    """d_T(P tensor g) = P tensor d(g) + sum_i (u_i P) tensor c_i(g), one
+    pass over the model's d_T table."""
     if x.model is not model:
         raise ValueError("element does not belong to the given model")
-    n = model.torus_rank
-    out = apply_rational_matrix(model, model.d, x)
-    for i in range(n):
-        u_i = Polynomial.variable(n, i)
-        contracted = apply_rational_matrix(model, model.contractions[i], x)
-        out = out + contracted.scaled(u_i)
-    return out
+    return apply_rational_matrix(model, model._cartan_table, x)
 
 
 def graded_product(
@@ -395,38 +433,49 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _composed_column(
+    products: Sequence[Tuple[Columns, Columns, int]], g: int
+) -> Dict[int, Fraction]:
+    """Column g of the sum of sign * (outer o inner) over the products
+    (outer, inner, sign), each operator given by its sparse columns: column
+    g of outer o inner is the sum of inner[k][g] times column k of outer
+    over the nonzero entries of inner's column g.  Entries that cancel are
+    kept as zeros."""
+    col: Dict[int, Fraction] = {}
+    for outer, inner, sign in products:
+        for k, b in inner[g].items():
+            b = b if sign > 0 else -b
+            for h, a in outer[k].items():
+                col[h] = col[h] + a * b if h in col else a * b
+    return col
+
+
 def operator_residuals(
-    rows: Sequence[Generator], left, right=None, subtract: bool = False
+    rows: Sequence[Generator], products: Sequence[Tuple[Columns, Columns, int]]
 ) -> Iterator[Tuple[int, str]]:
-    """(column, witness) for each column of left + right (left - right with
-    subtract, left alone without right) that is not zero; rows are indexed
-    by ``rows`` and the witness lists the column's nonzero entries as
-    "value*name" joined by " + "."""
-    size = len(left)
-    for g in range(len(left[0]) if left else 0):
-        col = [left[h][g] for h in range(size)]
-        if right is not None:
-            # most entries are zero: do arithmetic only where right has a term
-            for h in range(size):
-                r = right[h][g]
-                if r:
-                    col[h] = col[h] - r if subtract else col[h] + r
-        if any(col):
-            yield g, " + ".join(
-                f"{v}*{rows[h].name}" for h, v in enumerate(col) if v
-            )
+    """(column, witness) for each column of sum of sign * (outer o inner)
+    over the products (outer, inner, sign) that is not zero (see
+    ``_composed_column``).  Rows are indexed by ``rows`` and the witness
+    lists the column's nonzero entries, rows ascending, as "value*name"
+    joined by " + "."""
+    for g in range(len(products[0][1]) if products else 0):
+        col = _composed_column(products, g)
+        nonzero = sorted(h for h, value in col.items() if value)
+        if nonzero:
+            yield g, " + ".join(f"{col[h]}*{rows[h].name}" for h in nonzero)
 
 
 def degree_violations(
-    matrix, row_degrees: Sequence[int], col_degrees: Sequence[int], shift: int = 0
+    columns: Columns, row_degrees: Sequence[int], col_degrees: Sequence[int], shift: int = 0
 ) -> List[Tuple[int, int]]:
-    """(row, col) of every nonzero entry whose row degree is not its column
-    degree plus shift, row by row."""
+    """(row, col) of every nonzero entry, read from the matrix's sparse
+    columns, whose row degree is not its column degree plus shift; column
+    by column, rows ascending within a column."""
     return [
-        (r, c)
-        for r, row in enumerate(matrix)
-        for c, value in enumerate(row)
-        if value != 0 and row_degrees[r] != col_degrees[c] + shift
+        (h, g)
+        for g, column in enumerate(columns)
+        for h in column
+        if row_degrees[h] != col_degrees[g] + shift
     ]
 
 
@@ -437,11 +486,11 @@ def validate_model(model: InvariantModel) -> ValidationReport:
     gens = model.generators
     size = len(gens)
     degrees = model.degrees()
+    d, *contractions = model._operator_columns
 
-    def check_degree_shift(matrix, shift: int, label: str):
+    def check_degree_shift(columns, shift: int, label: str):
         # column by column: the issues of one generator's image stay together
-        violations = degree_violations(matrix, degrees, degrees, shift)
-        for h, g in sorted(violations, key=lambda entry: entry[::-1]):
+        for h, g in degree_violations(columns, degrees, degrees, shift):
             issues.append(
                 ValidationIssue(
                     axiom=f"{label} has degree {shift:+d}",
@@ -450,33 +499,26 @@ def validate_model(model: InvariantModel) -> ValidationReport:
                 )
             )
 
-    check_degree_shift(model.d, +1, "d")
-    for i, c in enumerate(model.contractions):
+    check_degree_shift(d, +1, "d")
+    for i, c in enumerate(contractions):
         check_degree_shift(c, -1, f"c_{i + 1}")
 
-    def operator_identity(axiom: str, where: str, left, right=None):
+    def operator_identity(axiom: str, where: str, *products):
         issues.extend(
             ValidationIssue(axiom=axiom, where=where + gens[g].name, witness=witness)
-            for g, witness in operator_residuals(gens, left, right)
+            for g, witness in operator_residuals(gens, products)
         )
 
-    zero = Fraction(0)
-    operator_identity("d o d = 0", "", matmul(model.d, model.d, zero))
-    for i, c in enumerate(model.contractions):
-        operator_identity(
-            "d o c + c o d = 0",
-            f"c_{i + 1} on ",
-            matmul(model.d, c, zero),
-            matmul(c, model.d, zero),
-        )
-    for i in range(model.torus_rank):
-        for j in range(i, model.torus_rank):
-            ci, cj = model.contractions[i], model.contractions[j]
+    operator_identity("d o d = 0", "", (d, d, 1))
+    for i, c in enumerate(contractions):
+        operator_identity("d o c + c o d = 0", f"c_{i + 1} on ", (d, c, 1), (c, d, 1))
+    for i, ci in enumerate(contractions):
+        for j, cj in enumerate(contractions[i:], i):
             operator_identity(
                 "c_i o c_j + c_j o c_i = 0",
                 f"(c_{i + 1}, c_{j + 1}) on ",
-                matmul(ci, cj, zero),
-                matmul(cj, ci, zero),
+                (ci, cj, 1),
+                (cj, ci, 1),
             )
 
     for g in range(size):
@@ -897,13 +939,20 @@ def predict_free_hilbert(
 
 
 def scale_contractions(model: InvariantModel, factor: Fraction) -> InvariantModel:
-    """The same model with every contraction scaled; used to exercise torus
-    reparametrization invariance."""
+    """The same model with every contraction scaled by a nonzero int or
+    Fraction; used to exercise torus reparametrization invariance."""
+    if isinstance(factor, bool) or not isinstance(factor, (int, Fraction)):
+        raise TypeError(
+            f"scale factor must be an int or a Fraction, got {type(factor).__name__}"
+        )
     if factor == 0:
         raise ValueError("scale factor must be nonzero")
     scaled = tuple(
-        tuple(tuple(entry * factor for entry in row) for row in c)
-        for c in model.contractions
+        _matrix(
+            len(model.generators),
+            {(h, g): v * factor for g, column in enumerate(c) for h, v in column.items()},
+        )
+        for c in model._operator_columns[1:]
     )
     return replace(
         model,

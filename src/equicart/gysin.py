@@ -44,6 +44,9 @@ from .euler import FixedPointDatum
 from .gcomplex import (
     EquivariantElement,
     InvariantModel,
+    _composed_column,
+    _matrix,
+    _sparse_columns,
     apply_rational_matrix,
     cartan_differential,
     cartan_parity_matrices,
@@ -79,7 +82,10 @@ class ModelMap:
 
     pullback[s][t] is the coefficient of source generator s in the pullback
     of target generator t; the matrix has degree 0 and commutes with d and
-    with every contraction (checked by validate_map).
+    with every contraction (checked by validate_map).  The library reads
+    the dense matrix once, into ``_pullback_columns`` (per target generator
+    t, the nonzero entries {s: value}, s ascending), built on first use and
+    kept.
     """
 
     name: str
@@ -101,6 +107,10 @@ class ModelMap:
                 f"map {self.name!r}: pullback matrix must be {s}x{t}"
             )
 
+    @cached_property
+    def _pullback_columns(self) -> Tuple[Dict[int, Fraction], ...]:
+        return _sparse_columns(self.pullback, len(self.target.generators))
+
 
 def identity_map(model: InvariantModel) -> ModelMap:
     size = len(model.generators)
@@ -121,12 +131,18 @@ def compose_maps(second: ModelMap, first: ModelMap) -> ModelMap:
             f"cannot compose {second.name!r} after {first.name!r}: "
             "inner models differ"
         )
-    matrix = matmul(first.pullback, second.pullback, Fraction(0))
+    product = [(first._pullback_columns, second._pullback_columns, 1)]
+    width = len(second.target.generators)
+    entries = {
+        (s, t): value
+        for t in range(width)
+        for s, value in _composed_column(product, t).items()
+    }
     return ModelMap(
         name=f"{second.name}*{first.name}",
         source=first.source,
         target=second.target,
-        pullback=tuple(tuple(row) for row in matrix),
+        pullback=_matrix(len(first.source.generators), entries, width),
         proper=first.proper and second.proper,
     )
 
@@ -160,10 +176,12 @@ class MapReport:
 
 def validate_map(f: ModelMap) -> MapReport:
     """Exact matrix identities: degree 0, pullback*d = d*pullback and
-    pullback*c_i = c_i*pullback for every i."""
+    pullback*c_i = c_i*pullback for every i, read from the sparse columns
+    of the pullback and of both models' operators."""
     issues: List[MapIssue] = []
     src, tgt = f.source, f.target
-    for s, t in degree_violations(f.pullback, src.degrees(), tgt.degrees()):
+    pullback = f._pullback_columns
+    for s, t in sorted(degree_violations(pullback, src.degrees(), tgt.degrees())):
         issues.append(
             MapIssue(
                 law="pullback has degree 0",
@@ -175,21 +193,21 @@ def validate_map(f: ModelMap) -> MapReport:
             )
         )
 
-    def commute(target_op, source_op, label: str):
-        lhs = matmul(f.pullback, target_op, Fraction(0))
-        rhs = matmul(source_op, f.pullback, Fraction(0))
+    labels = ["d"] + [f"c_{i + 1}" for i in range(src.torus_rank)]
+    for label, target_op, source_op in zip(
+        labels, tgt._operator_columns, src._operator_columns
+    ):
+        residuals = operator_residuals(
+            src.generators, [(pullback, target_op, 1), (source_op, pullback, -1)]
+        )
         issues.extend(
             MapIssue(
                 law=f"pullback commutes with {label}",
                 where=tgt.generators[t].name,
                 witness=witness,
             )
-            for t, witness in operator_residuals(src.generators, lhs, rhs, subtract=True)
+            for t, witness in residuals
         )
-
-    commute(tgt.d, src.d, "d")
-    for i in range(src.torus_rank):
-        commute(tgt.contractions[i], src.contractions[i], f"c_{i + 1}")
     return MapReport(map_name=f.name, issues=tuple(issues))
 
 
@@ -197,7 +215,7 @@ def pullback_element(f: ModelMap, x: EquivariantElement) -> EquivariantElement:
     """Apply the pullback matrix S(t)-linearly to a target element."""
     if x.model is not f.target:
         raise ValueError("element does not live on the map's target")
-    return apply_rational_matrix(f.source, f.pullback, x)
+    return apply_rational_matrix(f.source, f._pullback_columns, x)
 
 
 def _parity_of(x: EquivariantElement) -> int:
@@ -543,9 +561,9 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
         raise ThomInputError("phi_top must be homogeneous in generator degree")
     k = degrees.pop()
 
-    if not apply_rational_matrix(model, model.d, phi_top).is_zero:
+    d, *contractions = model._operator_columns
+    if not apply_rational_matrix(model, d, phi_top).is_zero:
         raise ThomInputError("phi_top is not d-closed")
-    size = len(model.generators)
 
     # components[j] maps exponent tuple (|a| = j) -> generator vector over Q
     components: List[Dict[tuple, Dict[int, Fraction]]] = [
@@ -560,10 +578,8 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
                 bumped = tuple(e + 1 if v == i else e for v, e in enumerate(exps))
                 target = rhs.setdefault(bumped, {})
                 for g, value in vec.items():
-                    for h in range(size):
-                        entry = model.contractions[i][h][g]
-                        if entry != 0:
-                            target[h] = target.get(h, Fraction(0)) - entry * value
+                    for h, entry in contractions[i][g].items():
+                        target[h] = target.get(h, Fraction(0)) - entry * value
         rhs = {
             exps: {h: v for h, v in vec.items() if v != 0}
             for exps, vec in rhs.items()
@@ -619,14 +635,25 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
 
 def _substitution_images(a: Sequence[Sequence[int]], r: int) -> List[Polynomial]:
     """u_i |-> sum_j a[i][j] v_j as rank-r polynomials."""
-    images = []
-    for row in a:
-        images.append(
-            Polynomial.linear([Fraction(int(entry)) for entry in row])
-            if r
-            else Polynomial.zero(0)
-        )
-    return images
+    return [Polynomial.linear(row) if r else Polynomial.zero(0) for row in a]
+
+
+def _integer_rows(a: Sequence[Sequence]) -> List[List[int]]:
+    """The restriction matrix as int rows; a non-integral entry is refused
+    rather than truncated."""
+    rows = []
+    for i, row in enumerate(a):
+        out = []
+        for j, entry in enumerate(row):
+            value = Fraction(entry)
+            if value.denominator != 1:
+                raise ValueError(
+                    f"restriction matrix entry {entry!r} at row {i + 1}, column "
+                    f"{j + 1} is not an integer"
+                )
+            out.append(int(value))
+        rows.append(out)
+    return rows
 
 
 def restrict_subtorus(
@@ -635,10 +662,12 @@ def restrict_subtorus(
     """Restrict the torus along an integer matrix with one row per current
     variable and one column per new variable.
 
-    New contractions are c'_j = sum_i a[i][j] c_i; polynomial data moves by
-    the substitution u_i |-> sum_j a[i][j] v_j; tangent weights transport by
-    the transpose action, with killed weights folded into the trivial part.
-    Zero columns (r = 0) produce the ordinary, nonequivariant complex.
+    New contractions are c'_j = sum_i a[i][j] c_i, summed column by column
+    over the nonzero entries; polynomial data moves by the substitution
+    u_i |-> sum_j a[i][j] v_j; tangent weights transport by the transpose
+    action, with killed weights folded into the trivial part.  Zero columns
+    (r = 0) produce the ordinary, nonequivariant complex.  An entry that is
+    not an integer (1.5, Fraction(3, 2)) is a ValueError.
     """
     n = model.torus_rank
     if len(a) != n:
@@ -647,20 +676,18 @@ def restrict_subtorus(
     for row in a:
         if len(row) != r:
             raise ValueError("ragged restriction matrix")
+    a = _integer_rows(a)
     size = len(model.generators)
+    contractions = model._operator_columns[1:]
     new_contractions = []
     for j in range(r):
-        block = [[Fraction(0)] * size for _ in range(size)]
+        entries: Dict[Tuple[int, int], Fraction] = {}
         for i in range(n):
-            factor = Fraction(int(a[i][j]))
-            if factor == 0:
-                continue
-            c = model.contractions[i]
-            for h in range(size):
-                for g in range(size):
-                    if c[h][g] != 0:
-                        block[h][g] += factor * c[h][g]
-        new_contractions.append(tuple(tuple(row) for row in block))
+            if a[i][j]:
+                for g, column in enumerate(contractions[i]):
+                    for h, value in column.items():
+                        entries[h, g] = entries.get((h, g), Fraction(0)) + a[i][j] * value
+        new_contractions.append(_matrix(size, entries))
 
     images = _substitution_images(a, r)
     named = {

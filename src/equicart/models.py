@@ -24,6 +24,7 @@ from .gcomplex import (
     Generator,
     InvariantModel,
     ValidationReport,
+    _matrix,
     graded_product,
     validate_model,
 )
@@ -39,16 +40,6 @@ class ModelFileError(ValueError):
 
 
 # -- small constructors --------------------------------------------------------
-
-
-def _matrix(
-    rows: int, entries: Mapping[Tuple[int, int], Fraction], cols: Optional[int] = None
-):
-    """The dense rows x cols (square without cols) matrix of sparse entries."""
-    m = [[Fraction(0)] * (rows if cols is None else cols) for _ in range(rows)]
-    for (h, g), v in entries.items():
-        m[h][g] = Fraction(v)
-    return tuple(tuple(row) for row in m)
 
 
 def _zero_matrices(torus_rank: int, size: int):
@@ -309,20 +300,19 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
     size = na * nb
 
     def leibniz(ma, mb):
-        """m(x (x) y) = m(x) (x) y + (-1)^{|x|} x (x) m(y)."""
+        """m(x (x) y) = m(x) (x) y + (-1)^{|x|} x (x) m(y), column by column
+        from the factors' sparse columns."""
         entries: Dict[Tuple[int, int], Fraction] = {}
         for g in range(na):
             sign = Fraction((-1) ** a.generators[g].degree)
-            a_terms = [(h, ma[h][g]) for h in range(na) if ma[h][g] != 0]
             for l in range(nb):
                 col = flat(g, l)
-                for h, value in a_terms:
+                for h, value in ma[g].items():
                     key = (flat(h, l), col)
                     entries[key] = entries.get(key, Fraction(0)) + value
-                for k in range(nb):
-                    if mb[k][l] != 0:
-                        key = (flat(g, k), col)
-                        entries[key] = entries.get(key, Fraction(0)) + sign * mb[k][l]
+                for k, value in mb[l].items():
+                    key = (flat(g, k), col)
+                    entries[key] = entries.get(key, Fraction(0)) + sign * value
         return _matrix(size, entries)
 
     top = a.top_degree + b.top_degree
@@ -335,37 +325,42 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
             if gen.degree == top and idx not in integration:
                 integration[idx] = Fraction(0)
 
+    def stored_pairs(m: InvariantModel):
+        """(p, q, row, sign) for every ordered pair with a stored product."""
+        out = []
+        for i, j in m.product_table:
+            for p, q in ((i, j), (j, i)) if i != j else ((i, j),):
+                row, sign = graded_product(m, p, q)
+                out.append((p, q, row, sign))
+        return out
+
+    # only pairs stored in both factors have a product; keys ascending, as
+    # a loop over all pairs (left, right) would insert them
     products: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-    for p1 in range(na):
-        for p2 in range(nb):
-            for q1 in range(na):
-                for q2 in range(nb):
-                    left, right = flat(p1, p2), flat(q1, q2)
-                    if left > right:
-                        continue
-                    r1 = graded_product(a, p1, q1)
-                    r2 = graded_product(b, p2, q2)
-                    if r1 is None or r2 is None:
-                        continue
-                    (row1, sign1), (row2, sign2) = r1, r2
-                    outer = sign1 * sign2 * (-1) ** (
-                        b.generators[p2].degree * a.generators[q1].degree
-                    )
-                    value: Dict[int, Fraction] = {}
-                    for k1, v1 in row1.items():
-                        for k2, v2 in row2.items():
-                            idx = flat(k1, k2)
-                            value[idx] = value.get(idx, Fraction(0)) + outer * v1 * v2
-                    products[(left, right)] = {
-                        k: v for k, v in value.items() if v != 0
-                    }
+    right_pairs = stored_pairs(b)
+    for p1, q1, row1, sign1 in stored_pairs(a):
+        for p2, q2, row2, sign2 in right_pairs:
+            left, right = flat(p1, p2), flat(q1, q2)
+            if left > right:
+                continue
+            outer = sign1 * sign2 * (-1) ** (
+                b.generators[p2].degree * a.generators[q1].degree
+            )
+            value: Dict[int, Fraction] = {}
+            for k1, v1 in row1.items():
+                for k2, v2 in row2.items():
+                    idx = flat(k1, k2)
+                    value[idx] = value.get(idx, Fraction(0)) + outer * v1 * v2
+            products[(left, right)] = {k: v for k, v in value.items() if v != 0}
+    products = {key: products[key] for key in sorted(products)}
+    (a_d, *a_cs), (b_d, *b_cs) = a._operator_columns, b._operator_columns
 
     return InvariantModel(
         name=f"{a.name}(x){b.name}",
         torus_rank=a.torus_rank,
         generators=tuple(gens),
-        d=leibniz(a.d, b.d),
-        contractions=tuple(map(leibniz, a.contractions, b.contractions)),
+        d=leibniz(a_d, b_d),
+        contractions=tuple(map(leibniz, a_cs, b_cs)),
         top_degree=top,
         compact=a.compact and b.compact,
         integration=integration,
@@ -582,13 +577,14 @@ def _poly_to_json(p: Polynomial) -> list:
     ]
 
 
-def _triplets(matrix) -> list:
-    out = []
-    for h, row in enumerate(matrix):
-        for g, value in enumerate(row):
-            if value != 0:
-                out.append([h, g, _frac_str(value)])
-    return out
+def _triplets(columns) -> list:
+    """[h, g, value] for the nonzero entries of a matrix given by its sparse
+    columns, row by row."""
+    return sorted(
+        [h, g, _frac_str(value)]
+        for g, column in enumerate(columns)
+        for h, value in column.items()
+    )
 
 
 def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] = None) -> dict:
@@ -601,8 +597,8 @@ def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] 
         ],
         "top_degree": model.top_degree,
         "compact": model.compact,
-        "d": _triplets(model.d),
-        "contractions": [_triplets(c) for c in model.contractions],
+        "d": _triplets(model._operator_columns[0]),
+        "contractions": [_triplets(c) for c in model._operator_columns[1:]],
         "integration": sorted(
             [idx, _frac_str(value)] for idx, value in model.integration.items()
         ),
@@ -646,7 +642,7 @@ def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] 
                 "source": _endpoint_ref(m.source, model),
                 "target": _endpoint_ref(m.target, model),
                 "proper": m.proper,
-                "pullback": _triplets(m.pullback),
+                "pullback": _triplets(m._pullback_columns),
             }
             for mname, m in maps.items()
         }

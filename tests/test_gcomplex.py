@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, seed, settings
@@ -17,6 +17,7 @@ from equicart.gcomplex import (
     InvariantModel,
     MissingProductError,
     ModelStructureError,
+    ValidationIssue,
     cartan_differential,
     cohomology_generic,
     cohomology_hilbert,
@@ -29,9 +30,9 @@ from equicart.gcomplex import (
     underlying_cohomology_dims,
     validate_model,
 )
-from equicart import gcomplex, gysin
+from equicart import algebra, gysin
 from equicart.euler import LinearRepresentation
-from equicart.gysin import identity_map, restrict_map, restrict_subtorus, validate_map
+from equicart.gysin import MapIssue, identity_map, restrict_map, restrict_subtorus, validate_map
 from equicart.models import (
     builtin_map,
     builtin_map_names,
@@ -137,6 +138,26 @@ def test_degree_violations_are_reported_in_a_fixed_order():
     assert [str(issue) for issue in validate_map(swap).issues] == [
         "[pullback has degree 0] at a -> one: degrees 1 -> 0",
         "[pullback has degree 0] at one -> a: degrees 0 -> 1",
+    ]
+
+
+def test_a_witness_lists_its_rows_in_ascending_order():
+    # d(x) = y + w, d(y) = v, d(w) = z: d(d(x)) reaches v (through y) before
+    # z (through w), and the witness still lists z first
+    zero, one = Fraction(0), Fraction(1)
+    d = [[zero] * 5 for _ in range(5)]
+    d[1][0] = d[2][0] = d[4][1] = d[3][2] = one
+    model = InvariantModel(
+        name="d_squared",
+        torus_rank=1,
+        generators=(Generator("x", 0), Generator("y", 1), Generator("w", 1),
+                    Generator("z", 2), Generator("v", 2)),
+        d=tuple(map(tuple, d)),
+        contractions=(tuple((zero,) * 5 for _ in range(5)),),
+        top_degree=2,
+    )
+    assert [str(issue) for issue in validate_model(model).issues] == [
+        "[d o d = 0] at x: 1*z + 1*v",
     ]
 
 
@@ -440,13 +461,100 @@ def test_hilbert_table_matches_enumeration_on_derived_models(case):
     assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
 
 
-def _dense_product(a, b, zero):
+def _dense_product(a, b):
     """Reference composition: every term of every entry, zeros included."""
     cols = len(b[0]) if b else 0
     return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(cols)]
+        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(cols)]
         for i in range(len(a))
     ]
+
+
+def _dense_residuals(rows, left, right=None, sign=1):
+    """(column, witness) for each nonzero column of left + sign * right,
+    every entry of every column read."""
+    out = []
+    for g in range(len(left[0]) if left else 0):
+        col = [
+            left[h][g] + (sign * right[h][g] if right is not None else 0)
+            for h in range(len(left))
+        ]
+        if any(col):
+            out.append((g, " + ".join(f"{v}*{rows[h].name}" for h, v in enumerate(col) if v)))
+    return out
+
+
+def _dense_degree_scan(matrix, row_degrees, col_degrees, shift):
+    """(row, col) of every nonzero entry of the wrong degree, row by row."""
+    return [
+        (h, g)
+        for h, row in enumerate(matrix)
+        for g, value in enumerate(row)
+        if value != 0 and row_degrees[h] != col_degrees[g] + shift
+    ]
+
+
+def _dense_model_issues(model):
+    """The degree and operator-identity issues of validate_model, in its
+    order (degrees column by column, then d o d, each d o c_i + c_i o d and
+    each c_i o c_j + c_j o c_i), from dense matrices."""
+    gens, degrees = model.generators, model.degrees()
+    issues = []
+    operators = [("d", model.d, 1)] + [
+        (f"c_{i + 1}", c, -1) for i, c in enumerate(model.contractions)
+    ]
+    for label, matrix, shift in operators:
+        scan = _dense_degree_scan(matrix, degrees, degrees, shift)
+        for h, g in sorted(scan, key=lambda entry: entry[::-1]):
+            issues.append(ValidationIssue(
+                f"{label} has degree {shift:+d}",
+                f"{gens[g].name} -> {gens[h].name}",
+                f"degrees {degrees[g]} -> {degrees[h]}",
+            ))
+
+    def identity(axiom, where, left, right=None):
+        issues.extend(
+            ValidationIssue(axiom, where + gens[g].name, witness)
+            for g, witness in _dense_residuals(gens, left, right)
+        )
+
+    d, cs = model.d, model.contractions
+    identity("d o d = 0", "", _dense_product(d, d))
+    for i, c in enumerate(cs):
+        identity("d o c + c o d = 0", f"c_{i + 1} on ",
+                 _dense_product(d, c), _dense_product(c, d))
+    for i in range(len(cs)):
+        for j in range(i, len(cs)):
+            identity("c_i o c_j + c_j o c_i = 0", f"(c_{i + 1}, c_{j + 1}) on ",
+                     _dense_product(cs[i], cs[j]), _dense_product(cs[j], cs[i]))
+    return issues
+
+
+def _dense_map_issues(f):
+    """Every issue of validate_map, in its order (degrees row by row, then
+    the commutation with d and with each c_i), from dense matrices."""
+    src, tgt = f.source, f.target
+    issues = [
+        MapIssue(
+            "pullback has degree 0",
+            f"{tgt.generators[t].name} -> {src.generators[s].name}",
+            f"degrees {tgt.generators[t].degree} -> {src.generators[s].degree}",
+        )
+        for s, t in _dense_degree_scan(f.pullback, src.degrees(), tgt.degrees(), 0)
+    ]
+    labels = ["d"] + [f"c_{i + 1}" for i in range(src.torus_rank)]
+    for label, t_op, s_op in zip(
+        labels, (tgt.d,) + tgt.contractions, (src.d,) + src.contractions
+    ):
+        lhs, rhs = _dense_product(f.pullback, t_op), _dense_product(s_op, f.pullback)
+        issues.extend(
+            MapIssue(f"pullback commutes with {label}", tgt.generators[t].name, witness)
+            for t, witness in _dense_residuals(src.generators, lhs, rhs, -1)
+        )
+    return issues
+
+
+MATRIX_AXIOMS = re.compile(r"(d|c_\d+) has degree|d o d|d o c|c_i o c_j")
 
 
 def _corrupted(draw, matrix):
@@ -491,20 +599,25 @@ def corrupted_models_and_maps(draw):
 @settings(max_examples=40)
 @given(corrupted_models_and_maps())
 def test_validators_match_a_dense_reference_product(case):
+    # the reference is built here from dense products and dense scans, so
+    # it shares no code with the validators' sparse column products
     model, f = case
-    sparse = (validate_model(model).issues, validate_map(f).issues)
-    with mock.patch.object(gcomplex, "matmul", _dense_product), mock.patch.object(
-        gysin, "matmul", _dense_product
-    ):
-        dense = (validate_model(model).issues, validate_map(f).issues)
-    assert sparse == dense
+    issues = validate_model(model).issues
+    reference = _dense_model_issues(model)
+    assert issues[: len(reference)] == tuple(reference)
+    assert not any(MATRIX_AXIOMS.match(issue.axiom) for issue in issues[len(reference):])
+    assert validate_map(f).issues == tuple(_dense_map_issues(f))
 
 
-def test_validators_accept_the_largest_rank_one_product():
-    # 64 generators: 7.0 s and 4.2 s with dense products, milliseconds now
-    model = tensor_product(s2_rotation(), s2_rotation())
-    assert validate_model(model).ok
-    assert validate_map(identity_map(model)).ok
+def test_validators_accept_the_largest_rank_one_product(count_calls):
+    # 512 generators: about 1 s each with dense products, tens of
+    # milliseconds with sparse columns; neither validator forms a dense product
+    calls = count_calls(algebra.matmul)
+    s2 = s2_rotation()
+    for model in (tensor_product(s2, s2), tensor_product(tensor_product(s2, s2), s2)):
+        assert validate_model(model).ok
+        assert validate_map(identity_map(model)).ok
+    assert calls == []
 
 
 # -- the sparse d_T table ---------------------------------------------------------
@@ -729,6 +842,16 @@ def test_contraction_scaling_preserves_cohomology():
     a = cohomology_generic(scaled)
     b = cohomology_generic(model)
     assert (a.even_rank, a.odd_rank) == (b.even_rank, b.odd_rank)
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0, True, "2", None])
+def test_contraction_scaling_refuses_a_factor_that_is_not_int_or_fraction(factor):
+    # a float factor once stored floats in the contractions: validate_model
+    # passed and every cohomology engine raised an untyped TypeError
+    with pytest.raises(TypeError, match="scale factor must be an int or a Fraction"):
+        scale_contractions(s2_rotation(), factor)
+    with pytest.raises(ValueError, match="nonzero"):
+        scale_contractions(s2_rotation(), Fraction(0))
 
 
 def test_element_lookup_by_name_and_index():

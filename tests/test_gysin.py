@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 from fractions import Fraction
 
 import pytest
@@ -401,6 +402,22 @@ def test_restriction_matrix_shape_errors():
         restrict_subtorus(model, [])
     with pytest.raises(ValueError):
         restrict_subtorus(builtin("rema_adj"), [[1], [1, 0]])
+
+
+@pytest.mark.parametrize("entry", [1.5, Fraction(3, 2)], ids=["float", "fraction"])
+def test_restriction_refuses_a_non_integral_entry(entry):
+    # it once truncated the entry and restricted along [[1, 2]]
+    message = re.escape(f"entry {entry!r} at row 1, column 1 is not an integer")
+    with pytest.raises(ValueError, match=message):
+        restrict_subtorus(s2_rotation(), [[entry, 2]])
+    with pytest.raises(ValueError, match="column 2 is not an integer"):
+        restrict_map(builtin_map("s2_identity"), [[1, entry]])
+
+
+def test_restriction_accepts_integral_entries_of_any_exact_type():
+    along = restrict_subtorus(s2_rotation(), [[1, 2]])
+    for a in ([[Fraction(1), 2]], [[1.0, Fraction(4, 2)]]):
+        assert restrict_subtorus(s2_rotation(), a) == along
 
 
 def test_restriction_commutes_with_gysin_for_the_identity_reparametrization():

@@ -6,21 +6,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from equicart.algebra import Polynomial
+from equicart.algebra import Polynomial, RationalFunction
 from equicart.cli import run
 from equicart.duality import duality_check
 from equicart.euler import Weight, euler_linear, localization_consistency
 from equicart.gcomplex import (
+    EquivariantElement,
+    cartan_differential,
     cohomology_hilbert,
     element,
     element_product,
     named_cocycle_element,
+    scale_contractions,
     validate_model,
 )
-from equicart.gysin import validate_map
+from equicart.gysin import restrict_subtorus, validate_map
 from equicart.models import (
     ModelFileError,
     UnknownModelError,
@@ -158,10 +161,12 @@ def _kronecker_reference(a, b):
     pairs = [(i, j) for i in range(na) for j in range(nb)]
     degree = [a.generators[i].degree + b.generators[j].degree for i, j in pairs]
 
+    sign = [(-1) ** gen.degree for gen in a.generators]
+
     def leibniz(ma, mb):
         return tuple(
             tuple(
-                ma[h][g] * (k == l) + (h == g) * (-1) ** a.generators[g].degree * mb[k][l]
+                (ma[h][g] if k == l else 0) + (sign[g] * mb[k][l] if h == g else 0)
                 for g, l in pairs
             )
             for h, k in pairs
@@ -188,9 +193,11 @@ def _kronecker_reference(a, b):
                 continue
             koszul = (-1) ** (b.generators[p2].degree * a.generators[q1].degree)
             products[(p, q)] = {
-                k: koszul * left[k1] * right[k2]
-                for k, (k1, k2) in enumerate(pairs)
-                if left[k1] * right[k2] != 0
+                k1 * nb + k2: koszul * x * y
+                for k1, x in enumerate(left)
+                if x
+                for k2, y in enumerate(right)
+                if y
             }
     return d, contractions, integration, products
 
@@ -222,6 +229,106 @@ def test_tensor_product_matches_a_dense_kronecker_reference(label):
     assert model.contractions == contractions
     assert dict(model.integration) == integration
     assert {key: dict(value) for key, value in model.product_table.items()} == products
+
+
+CONSTRUCTOR_FACTORS = {
+    1: ["point(1)", "circle_trivial(1)", "circle_free", "s2_rotation",
+        "obstruction_pair", "c_alpha(1)", "c_alpha(2)"],
+    2: ["point(2)", "circle_trivial(2)", "rema_adj", "c_alpha(1,0;0,1)"],
+}
+
+
+def _polynomials(n):
+    exponents = st.tuples(*[st.integers(0, 2)] * n)
+    return st.dictionaries(exponents, st.integers(-3, 3), max_size=3).map(
+        lambda terms: Polynomial(n, terms)
+    )
+
+
+@st.composite
+def constructor_cases(draw):
+    """(a, b, weights, x): two builtins over one torus of rank 1 or 2, both
+    restricted along one matrix to rank 0, 1 or 2 or left as they are, each
+    possibly rescaled; a restriction matrix of their product to rank 0, 1
+    or 2; and an element of the product with a few Polynomial and
+    RationalFunction coefficients."""
+    n = draw(st.sampled_from(sorted(CONSTRUCTOR_FACTORS)))
+    a = builtin(draw(st.sampled_from(CONSTRUCTOR_FACTORS[n])))
+    b = builtin(draw(st.sampled_from(CONSTRUCTOR_FACTORS[n])))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 2))
+        weights = [[draw(st.sampled_from([1, -2, 0, 2, -1])) for _ in range(r)] for _ in range(n)]
+        a, b = restrict_subtorus(a, weights), restrict_subtorus(b, weights)
+    scales = st.sampled_from([None, Fraction(-1), Fraction(2), Fraction(-3, 2)])
+    a, b = [m if s is None else scale_contractions(m, s)
+            for m, s in ((a, draw(scales)), (b, draw(scales)))]
+    n = a.torus_rank
+    r = draw(st.integers(0, 2))
+    # mostly nonzero weights, so that c'_j sums several c_i where they meet
+    weights = [[draw(st.sampled_from([1, -2, 0, 2, -1])) for _ in range(r)] for _ in range(n)]
+    size = len(a.generators) * len(b.generators)
+    terms = {}
+    for g in draw(st.lists(st.integers(0, size - 1), max_size=4, unique=True)):
+        coeff = draw(_polynomials(n))
+        denominator = draw(_polynomials(n))
+        if draw(st.booleans()) and not denominator.is_zero:
+            coeff = RationalFunction(coeff, denominator)
+        terms[g] = coeff
+    return a, b, weights, terms
+
+
+def _overlapping_case():
+    """Rank-2 factors whose c_1 and c_2 share every entry, restricted along
+    [[1], [1]]: each new entry sums two old ones."""
+    along = [[1, 2]]
+    a = restrict_subtorus(s2_rotation(), along)
+    b = restrict_subtorus(builtin("circle_free"), along)
+    u1, u2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    terms = {5: u1 * u2, 9: RationalFunction(u1 + u2 * 3, u1 - u2)}
+    return a, b, [[1], [1]], terms
+
+
+@seed(20261018)
+@settings(max_examples=40)
+@given(constructor_cases())
+@example(_overlapping_case())
+def test_constructors_and_the_differential_match_dense_references(case):
+    a, b, weights, terms = case
+    model = tensor_product(a, b)
+    d, contractions, integration, products = _kronecker_reference(a, b)
+    assert model.d == d
+    assert model.contractions == contractions
+    assert dict(model.integration) == integration
+    # keys in the order of a loop over all pairs (left, right)
+    assert [(key, dict(row)) for key, row in model.product_table.items()] == list(
+        products.items()
+    )
+
+    n, size, r = model.torus_rank, len(model.generators), len(weights[0]) if weights else 0
+    restricted = restrict_subtorus(model, weights)
+    assert restricted.contractions == tuple(
+        tuple(
+            tuple(
+                sum((weights[i][j] * contractions[i][h][g] for i in range(n)), Fraction(0))
+                for g in range(size)
+            )
+            for h in range(size)
+        )
+        for j in range(r)
+    )
+
+    x = EquivariantElement(model, terms)
+    variables = [Polynomial.variable(n, i) for i in range(n)]
+    expected = {}
+    for h in range(size):
+        total = RationalFunction.zero(n)
+        for g, coeff in x.terms.items():
+            entry = Polynomial.constant(n, d[h][g])
+            for u, c in zip(variables, contractions):
+                entry = entry + u * c[h][g]
+            total = total + RationalFunction.coerce(coeff, n) * RationalFunction.coerce(entry, n)
+        expected[h] = total
+    assert cartan_differential(model, x) == EquivariantElement(model, expected)
 
 
 def test_tensor_product_integration_is_multiplicative():
