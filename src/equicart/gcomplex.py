@@ -18,13 +18,24 @@ h ascending.  It is the one scan of the dense matrices.  From it come:
 
 - the table of d_T, per generator g the nonzero entries
   h -> d[h][g] + sum_i u_i c_i[h][g]; ``cartan_differential`` applies it in
-  one pass, the generic engine feeds its parity blocks to the eliminations
-  column by column (image) or transposed (kernel), and the Hilbert engine
-  splits each entry back into its d and c_i terms;
+  one pass, the generic engine feeds its entries between the two parities
+  of each block to the eliminations column by column (image) or transposed
+  (kernel), and the Hilbert engine splits each entry back into its d and
+  c_i terms;
 - validation: degree checks walk the nonzero entries, and each operator
   identity composes columns (column g of A o B is the sum of B[k][g] times
   column k of A over the nonzero entries of B's column g), so a check costs
-  the products of nonzero entries, not g^3.
+  the products of nonzero entries, not g^3;
+- the blocks: the connected components of the nonzero pattern of d_T, with
+  the support of each named cocycle joined.  C is their direct sum as a
+  complex and H_T the direct sum of their cohomologies, so both engines
+  eliminate block by block; a product of models has one block per pair of
+  factor blocks, and elimination that never mixes them keeps the
+  fraction-free coefficients from growing across blocks.
+
+At torus rank 1 the Hilbert table is periodic past the top generator
+degree (multiplication by u maps each slice onto the slice two above), so
+its cost depends on the top degree, not on the cutoff.
 
 Whether a model faithfully truncates the invariant forms of an actual group
 action is the caller's assertion; the model IS the input.  The builtin
@@ -45,12 +56,12 @@ from .algebra import (
     Echelon,
     Polynomial,
     RationalFunction,
-    rank_rational,
 )
 from .euler import FixedPointDatum
 
 Coefficient = Union[Polynomial, RationalFunction]
 Columns = Sequence[Mapping[int, Fraction]]  # a matrix by its sparse columns
+_ENTRY_TYPES = frozenset({int, Fraction})  # of the entries of d and the c_i
 
 
 class ModelStructureError(ValueError):
@@ -85,11 +96,13 @@ class InvariantModel:
     sign (-1)^{|i||j|}.  Integration assigns a rational to every generator of
     degree top_degree when the model is compact.
 
-    The dense matrices are the stored form; the library reads them once,
-    into ``_operator_columns`` (d and each c_i by sparse columns), and
-    derives the d_T table ``_cartan_table`` from that view.  Both are built
-    on first use and kept: a model is frozen and its matrices are tuples,
-    and ``dataclasses.replace`` makes a new model with views of its own.
+    The dense matrices are the stored form, with int or Fraction entries;
+    the library reads them once, into ``_operator_columns`` (d and each c_i
+    by sparse columns), and derives from that view the d_T table
+    ``_cartan_table`` and the split of the generators into blocks
+    ``_blocks``.  All three are built on first use and kept: a model is
+    frozen and its matrices are tuples, and ``dataclasses.replace`` makes a
+    new model with views of its own.
     """
 
     name: str
@@ -162,11 +175,22 @@ class InvariantModel:
     @cached_property
     def _operator_columns(self) -> Tuple[Tuple[Dict[int, Fraction], ...], ...]:
         """(d, c_1, ..., c_n), each by its columns: per generator g, the
-        nonzero entries {h: value} of column g, h ascending."""
+        nonzero entries {h: value} of column g, h ascending.  An entry that
+        is not an int or a Fraction is a ModelStructureError."""
         size = len(self.generators)
-        return tuple(
-            _sparse_columns(matrix, size) for matrix in (self.d,) + self.contractions
-        )
+        labels = ["d"] + [f"c_{i + 1}" for i in range(self.torus_rank)]
+        operators = (self.d,) + self.contractions
+        for label, matrix in zip(labels, operators):
+            for h, row in enumerate(matrix):
+                if not _ENTRY_TYPES.issuperset(map(type, row)):
+                    g, value = next(
+                        (g, v) for g, v in enumerate(row) if type(v) not in _ENTRY_TYPES
+                    )
+                    raise ModelStructureError(
+                        f"model {self.name!r}: {label} entry at row {h}, column {g} "
+                        f"is {value!r} ({type(value).__name__}), not an int or a Fraction"
+                    )
+        return tuple(_sparse_columns(matrix, size) for matrix in operators)
 
     @cached_property
     def _cartan_table(self) -> Tuple[Dict[int, Polynomial], ...]:
@@ -184,6 +208,41 @@ class InvariantModel:
                     column.setdefault(h, {})[exps] = value
             table.append({h: Polynomial(n, column[h]) for h in sorted(column)})
         return tuple(table)
+
+    @cached_property
+    def _blocks(self) -> Tuple[Tuple[int, ...], ...]:
+        """The generators split into the connected components of d_T's
+        nonzero pattern, read from ``_operator_columns``: every nonzero
+        entry of d or a c_i joins its row and its column, wrong-degree
+        entries included, so each block is stable under d and every c_i.
+        The support of each named cocycle is joined too, so every named
+        cocycle lies in one block.  Blocks are ordered by their smallest
+        generator, each ascending.  C is the direct sum of its blocks as a
+        complex, and H_T the direct sum of their cohomologies."""
+        root = list(range(len(self.generators)))
+
+        def find(g: int) -> int:
+            while root[g] != g:
+                root[g] = root[root[g]]
+                g = root[g]
+            return g
+
+        def join(g: int, h: int) -> None:
+            g, h = find(g), find(h)
+            root[max(g, h)] = min(g, h)  # a root is its block's smallest generator
+
+        for operator in self._operator_columns:
+            for g, column in enumerate(operator):
+                for h in column:
+                    join(g, h)
+        for raw in self.named_cocycles.values():
+            support = list(raw)
+            for h in support[1:]:
+                join(support[0], h)
+        blocks: Dict[int, List[int]] = {}
+        for g in range(len(self.generators)):
+            blocks.setdefault(find(g), []).append(g)
+        return tuple(map(tuple, blocks.values()))
 
 
 def _sparse_columns(matrix, width: int) -> Tuple[Dict[int, Fraction], ...]:
@@ -650,11 +709,11 @@ def validate_model(model: InvariantModel) -> ValidationReport:
 # -- generic (fraction-field) cohomology --------------------------------------
 
 
-def _block_columns(
+def _parity_columns(
     model: InvariantModel, sources: Sequence[int], targets: Sequence[int]
 ) -> List[Dict[int, Polynomial]]:
-    """The block of d_T from the sources into the targets (the generators of
-    the other parity), column by column: per source generator, {target
+    """The entries of d_T from the sources into the targets (the generators
+    of the other parity), column by column: per source generator, {target
     position: entry}, positions ascending.  Entries into a generator of the
     source's own parity lie outside the 2-periodic complex and are dropped."""
     position = {h: k for k, h in enumerate(targets)}
@@ -737,70 +796,103 @@ def _independent_mod_image(
     return chosen
 
 
+@dataclass
+class _Part:
+    """One parity of one block of the 2-periodic complex: its generators,
+    the columns of d_T out of them into the block's other parity, the
+    elimination of the image of d_T into them, and its generic rank."""
+
+    indices: List[int]
+    outgoing: List[Dict[int, Polynomial]]
+    image: Echelon
+    rank: int = 0
+
+
 def cohomology_generic(model: InvariantModel) -> GenericCohomology:
     """Even and odd ranks of the localized 2-periodic complex, plus
     representative cocycles independent modulo the image.
 
-    The model's named cocycles are used as representatives when they span;
-    otherwise representatives are drawn from a computed kernel basis.  Four
-    eliminations of sparse rows from the model's d_T table: the image in
-    each parity (the block's columns) and the kernel of each outgoing block
-    (its rows); an image is rebuilt only when named cocycles extended it.
+    The complex is the direct sum of the model's blocks (``_blocks``), so
+    every elimination runs on one parity of one block: the image into it
+    (the columns of d_T from the block's other parity) and, for computed
+    representatives, the kernel of d_T out of it (the rows).  The model's
+    named cocycles are used as representatives when they span, each
+    checked against the image of the block that holds it; an image is
+    rebuilt only when named cocycles extended it and were then not used.
+    Otherwise representatives come from the blocks' kernel bases, each
+    taken greedily modulo its block's image and numbered in the order of
+    its free column over the whole parity.
     """
-    even, odd = model.parity_indices()
     n = model.torus_rank
-    into_even = _block_columns(model, odd, even)  # the columns of A_oe
-    into_odd = _block_columns(model, even, odd)  # the columns of A_eo
-    im_e = _echelon(into_even, len(even), n)
-    im_o = _echelon(into_odd, len(odd), n)
-    even_rank = len(even) - im_o.rank - im_e.rank
-    odd_rank = len(odd) - im_e.rank - im_o.rank
-    if even_rank < 0 or odd_rank < 0:
-        raise AssertionError("negative generic rank; model invalid")
-
-    reps: List[Tuple[str, EquivariantElement]] = []
+    degrees = model.degrees()
+    parts: List[Tuple[_Part, _Part]] = []  # (even, odd) per block
+    for block in model._blocks:
+        even = [g for g in block if degrees[g] % 2 == 0]
+        odd = [g for g in block if degrees[g] % 2 == 1]
+        into_odd = _parity_columns(model, even, odd)
+        into_even = _parity_columns(model, odd, even)
+        pair = (
+            _Part(even, into_odd, _echelon(into_even, len(even), n)),
+            _Part(odd, into_even, _echelon(into_odd, len(odd), n)),
+        )
+        image_ranks = pair[0].image.rank + pair[1].image.rank
+        for part in pair:
+            part.rank = len(part.indices) - image_ranks
+            if part.rank < 0:
+                raise AssertionError("negative generic rank; model invalid")
+        parts.append(pair)
+    even_rank, odd_rank = (sum(pair[p].rank for pair in parts) for p in (0, 1))
 
     named = list(model.named_cocycles.items())
     if named:
-        named_even = [
-            (nm, raw)
-            for nm, raw in named
-            if all(model.generators[i].degree % 2 == 0 for i in raw)
+        by_parity = [
+            [(nm, raw) for nm, raw in named if all(degrees[i] % 2 == p for i in raw)]
+            for p in (0, 1)
         ]
-        named_odd = [
-            (nm, raw)
-            for nm, raw in named
-            if all(model.generators[i].degree % 2 == 1 for i in raw)
-        ]
-        if len(named_even) == even_rank and len(named_odd) == odd_rank:
-            cand_e = [_vector_of(raw, even, n) for _, raw in named_even]
-            cand_o = [_vector_of(raw, odd, n) for _, raw in named_odd]
-            ok_e = _independent_mod_image(im_e, cand_e, even_rank)
-            ok_o = _independent_mod_image(im_o, cand_o, odd_rank)
-            if len(ok_e) == even_rank and len(ok_o) == odd_rank:
-                for nm, raw in named_even + named_odd:
-                    reps.append((nm, EquivariantElement(model, dict(raw))))
+        if (len(by_parity[0]), len(by_parity[1])) == (even_rank, odd_rank):
+            block_of = {g: b for b, block in enumerate(model._blocks) for g in block}
+            extended = set()  # (block, parity) of each image a cocycle extended
+            for p, raw in ((p, raw) for p in (0, 1) for _, raw in by_parity[p]):
+                # the image of a cocycle's own block decides (a direct sum);
+                # the zero cocycle extends none
+                b = block_of[next(iter(raw))] if raw else None
+                if b is None or not parts[b][p].image.add_row(
+                    _vector_of(raw, parts[b][p].indices, n)
+                ):
+                    break
+                extended.add((b, p))
+            else:
+                reps = [
+                    (nm, EquivariantElement(model, dict(raw)))
+                    for nm, raw in by_parity[0] + by_parity[1]
+                ]
                 return GenericCohomology(even_rank, odd_rank, tuple(reps))
-            if ok_e:
-                im_e = _echelon(into_even, len(even), n)
-            if ok_o:
-                im_o = _echelon(into_odd, len(odd), n)
+            for b, p in extended:
+                part, other = parts[b][p], parts[b][1 - p]
+                part.image = _echelon(other.outgoing, len(part.indices), n)
 
-    def computed_reps(outgoing, image, indices, out_len, rank, prefix):
-        out = []
-        kernel = _echelon(_transposed(outgoing, out_len), len(indices), n).kernel()
-        chosen = _independent_mod_image(image, kernel, rank)
-        for count, idx in enumerate(chosen):
-            terms = {
-                gen_idx: kernel[idx][pos]
-                for pos, gen_idx in enumerate(indices)
-                if not kernel[idx][pos].is_zero
-            }
-            out.append((f"{prefix}{count}", EquivariantElement(model, terms)))
-        return out
-
-    reps.extend(computed_reps(into_odd, im_e, even, len(odd), even_rank, "even_"))
-    reps.extend(computed_reps(into_even, im_o, odd, len(even), odd_rank, "odd_"))
+    reps: List[Tuple[str, EquivariantElement]] = []
+    for p, prefix in ((0, "even_"), (1, "odd_")):
+        found = []  # (free generator, terms) per chosen kernel vector
+        for pair in parts:
+            part, other = pair[p], pair[1 - p]
+            if not part.rank:
+                continue
+            kernel = _echelon(
+                _transposed(part.outgoing, len(other.indices)), len(part.indices), n
+            ).kernel()
+            for idx in _independent_mod_image(part.image, kernel, part.rank):
+                vector = kernel[idx]
+                # the free variable is 1 and every pivot variable after it
+                # is 0, so the free column is the last nonzero entry
+                free = max(k for k, x in enumerate(vector) if not x.is_zero)
+                terms = {g: x for g, x in zip(part.indices, vector) if not x.is_zero}
+                found.append((part.indices[free], terms))
+        found.sort(key=lambda item: item[0])
+        reps.extend(
+            (f"{prefix}{count}", EquivariantElement(model, terms))
+            for count, (_, terms) in enumerate(found)
+        )
     if len(reps) != even_rank + odd_rank:
         raise AssertionError("failed to assemble independent representatives")
     return GenericCohomology(even_rank, odd_rank, tuple(reps))
@@ -831,11 +923,18 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
 
     Slice k of S(t) tensor C has basis u^e tensor g with 2|e| + |g| = k; its
     dimension is counted, not enumerated.  The rank of d_T from slice k to
-    slice k+1 is taken over the rows of generators with a term only: an
-    inert generator (an empty column of the model's d_T table) spans part of
-    the kernel.  Each table entry splits into its d term (the constant) and
-    its c_i terms (the coefficients of u_i); a term of the wrong degree has
-    no target in the next slice and is dropped.
+    slice k+1 is the sum of its ranks on the model's blocks (``_blocks``),
+    each taken over the rows of generators with a term only: an inert
+    generator (an empty column of the model's d_T table) spans part of the
+    kernel, and a block without a row in the slice builds nothing.  Each
+    table entry splits into its d term (the constant) and its c_i terms
+    (the coefficients of u_i); a term of the wrong degree has no target in
+    the next slice and is dropped.
+
+    At torus rank 1, multiplication by u maps slices k and k+1 onto slices
+    k+2 and k+3 and commutes with d_T once no generator has degree k+2 or
+    k+3, so only the slices up to the top generator degree are eliminated
+    and every later rank repeats the rank two slices below.
     """
     if cutoff is None:
         cutoff = model.default_cutoff()
@@ -846,6 +945,7 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
     for deg in degrees:
         for j in range((cutoff + 1 - deg) // 2 + 1 if deg >= 0 else 0):
             dims[deg + 2 * j] += _monomial_count(n, j)
+    last = min(cutoff, max(degrees, default=-1)) if n == 1 else cutoff
     # per source generator: the terms (variable index or None for d, h, entry)
     # that land in the next slice
     terms: List[list] = [[] for _ in degrees]
@@ -855,26 +955,36 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
                 shift = exps.index(1) if any(exps) else None
                 if degrees[h] == degrees[g] + (1 if shift is None else -1) >= 0:
                     terms[g].append((shift, h, value))
-    active = [g for g, deg in enumerate(degrees) if terms[g] and 0 <= deg <= cutoff]
-    top = max((cutoff - degrees[g]) // 2 for g in active) if active else -1
+    active = [
+        [g for g in block if terms[g] and 0 <= degrees[g] <= last]
+        for block in model._blocks
+    ]
+    blocks = [block for block in active if block]
+    top = max(((last - degrees[g]) // 2 for block in blocks for g in block), default=-1)
     monomials = _monomials_by_degree(n, top)
     ranks = []
-    for k in range(cutoff + 1):
-        echelon = Echelon(dims[k + 1])
-        columns: Dict[tuple, int] = {}  # (exponents, h) -> column, on first sight
-        for g in active:
-            j, odd = divmod(k - degrees[g], 2)
-            if odd or j < 0:
-                continue
-            for exps in monomials[j]:
-                row = {}
-                for shift, h, entry in terms[g]:
-                    target = exps
-                    if shift is not None:
-                        target = exps[:shift] + (exps[shift] + 1,) + exps[shift + 1:]
-                    row[columns.setdefault((target, h), len(columns))] = entry
-                echelon.add_row(row)
-        ranks.append(echelon.rank)
+    for k in range(last + 1):
+        rank = 0
+        for block in blocks:
+            rows = []
+            columns: Dict[tuple, int] = {}  # (exponents, h) -> column, on first sight
+            for g in block:
+                j, odd = divmod(k - degrees[g], 2)
+                if odd or j < 0:
+                    continue
+                for exps in monomials[j]:
+                    row = {}
+                    for shift, h, entry in terms[g]:
+                        target = exps
+                        if shift is not None:
+                            target = exps[:shift] + (exps[shift] + 1,) + exps[shift + 1:]
+                        row[columns.setdefault((target, h), len(columns))] = entry
+                    rows.append(row)
+            if rows:
+                rank += _echelon(rows, len(columns), None).rank
+        ranks.append(rank)
+    for k in range(last + 1, cutoff + 1):  # rank 1 only: the period
+        ranks.append(ranks[k - 2] if k >= 2 else 0)
     table = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(cutoff + 1)]
     if any(v < 0 for v in table):
         raise AssertionError("negative Hilbert entry; model invalid")
@@ -900,16 +1010,20 @@ class FreeComparison:
 
 
 def underlying_cohomology_dims(model: InvariantModel) -> List[int]:
-    """Dims of the ordinary cohomology of (C, d) per degree 0..top_degree."""
+    """Dims of the ordinary cohomology of (C, d) per degree 0..top_degree,
+    the rank of d in each degree read from the columns of d."""
     degrees = model.degrees()
     top = max([model.top_degree] + degrees)
     by_degree = {k: [i for i, d in enumerate(degrees) if d == k] for k in range(top + 2)}
+    d = model._operator_columns[0]
     ranks = {}
     for k in range(top + 1):
+        position = {h: i for i, h in enumerate(by_degree[k + 1])}
         rows = [
-            [model.d[h][g] for g in by_degree[k]] for h in by_degree.get(k + 1, [])
+            {position[h]: value for h, value in d[g].items() if h in position}
+            for g in by_degree[k]
         ]
-        ranks[k] = rank_rational(rows)
+        ranks[k] = _echelon(rows, len(position), None).rank
     dims = []
     for k in range(top + 1):
         incoming = ranks.get(k - 1, 0)

@@ -114,13 +114,16 @@ class ModelMap:
 
 def identity_map(model: InvariantModel) -> ModelMap:
     size = len(model.generators)
-    matrix = tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(size))
-        for i in range(size)
+    one = Fraction(1)
+    f = ModelMap(
+        name=f"identity:{model.name}",
+        source=model,
+        target=model,
+        pullback=_matrix(size, {(g, g): one for g in range(size)}),
     )
-    return ModelMap(
-        name=f"identity:{model.name}", source=model, target=model, pullback=matrix
-    )
+    # the diagonal is the sparse view: no scan of the dense matrix needed
+    vars(f)["_pullback_columns"] = tuple({g: one} for g in range(size))
+    return f
 
 
 def compose_maps(second: ModelMap, first: ModelMap) -> ModelMap:

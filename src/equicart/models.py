@@ -299,21 +299,28 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
             gens.append(Generator(f"{ga.name}.{gb.name}", ga.degree + gb.degree))
     size = na * nb
 
-    def leibniz(ma, mb):
+    def leibniz(ma, mb) -> Tuple[Dict[int, Fraction], ...]:
         """m(x (x) y) = m(x) (x) y + (-1)^{|x|} x (x) m(y), column by column
-        from the factors' sparse columns."""
-        entries: Dict[Tuple[int, int], Fraction] = {}
+        from the factors' sparse columns, as the product's sparse columns
+        (nonzero entries, rows ascending)."""
+        columns = []
         for g in range(na):
-            sign = Fraction((-1) ** a.generators[g].degree)
+            sign = (-1) ** a.generators[g].degree
             for l in range(nb):
-                col = flat(g, l)
+                col: Dict[int, Fraction] = {}
                 for h, value in ma[g].items():
-                    key = (flat(h, l), col)
-                    entries[key] = entries.get(key, Fraction(0)) + value
+                    key = flat(h, l)
+                    col[key] = col.get(key, Fraction(0)) + value
                 for k, value in mb[l].items():
-                    key = (flat(g, k), col)
-                    entries[key] = entries.get(key, Fraction(0)) + sign * value
-        return _matrix(size, entries)
+                    key = flat(g, k)
+                    col[key] = col.get(key, Fraction(0)) + sign * value
+                columns.append({h: col[h] for h in sorted(col) if col[h]})
+        return tuple(columns)
+
+    def dense(columns) -> Tuple[Tuple[Fraction, ...], ...]:
+        return _matrix(
+            size, {(h, g): v for g, col in enumerate(columns) for h, v in col.items()}
+        )
 
     top = a.top_degree + b.top_degree
     integration: Dict[int, Fraction] = {}
@@ -353,20 +360,24 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
                     value[idx] = value.get(idx, Fraction(0)) + outer * v1 * v2
             products[(left, right)] = {k: v for k, v in value.items() if v != 0}
     products = {key: products[key] for key in sorted(products)}
-    (a_d, *a_cs), (b_d, *b_cs) = a._operator_columns, b._operator_columns
+    operators = tuple(map(leibniz, a._operator_columns, b._operator_columns))
 
-    return InvariantModel(
+    product = InvariantModel(
         name=f"{a.name}(x){b.name}",
         torus_rank=a.torus_rank,
         generators=tuple(gens),
-        d=leibniz(a_d, b_d),
-        contractions=tuple(map(leibniz, a_cs, b_cs)),
+        d=dense(operators[0]),
+        contractions=tuple(map(dense, operators[1:])),
         top_degree=top,
         compact=a.compact and b.compact,
         integration=integration,
         product_table=products,
         notes=a.notes + b.notes,
     )
+    # the columns just computed are the product's sparse view: seeding the
+    # cached property spares the first query a scan of the dense matrices
+    vars(product)["_operator_columns"] = operators
+    return product
 
 
 def c_alpha(weights: Sequence[Sequence[int]]) -> InvariantModel:

@@ -416,14 +416,39 @@ def _brute_force_hilbert(model, cutoff):
     return dims
 
 
+def _with_negative_degree():
+    """s2_rotation plus a generator e of degree -1 with d(e) = one."""
+    base = s2_rotation()
+    size = len(base.generators) + 1
+
+    def grown(matrix, extra=None):
+        rows = [list(row) + [Fraction(0)] for row in matrix] + [[Fraction(0)] * size]
+        if extra is not None:
+            rows[extra][size - 1] = Fraction(1)
+        return tuple(map(tuple, rows))
+
+    return dataclasses.replace(
+        base,
+        name="s2_rotation+e",
+        generators=base.generators + (Generator("e", -1),),
+        d=grown(base.d, extra=0),
+        contractions=tuple(map(grown, base.contractions)),
+    )
+
+
 @pytest.mark.parametrize(
     "model",
-    [point(1), circle_free(), circle_trivial(1), s2_rotation(), builtin("rema_adj")],
+    [point(1), circle_free(), circle_trivial(1), s2_rotation(), builtin("rema_adj"),
+     builtin("obstruction_pair"), builtin("c_alpha(2)"),
+     tensor_product(circle_trivial(1), s2_rotation()), _with_negative_degree()],
     ids=lambda m: m.name,
 )
 def test_hilbert_table_matches_independent_enumeration(model):
-    cutoff = 8
-    assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
+    # every cutoff up to 8 and to three times the top degree: at rank 1 the
+    # ranks past the top degree repeat, and some cutoffs equal a generator
+    # degree, the top one included
+    for cutoff in range(max(8, 3 * max(model.degrees())) + 1):
+        assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
 
 
 FACTORS_BY_RANK = {
@@ -767,13 +792,97 @@ def test_every_constructor_stores_tuple_matrices(model):
     assert all(_tuple_matrix(c) for c in model.contractions)
 
 
-def test_generic_cohomology_runs_four_eliminations(count_calls):
-    # an image and a kernel per parity; the images are not built twice
+def test_generic_cohomology_eliminates_block_by_block(count_calls):
+    # an image per parity of each of the 9 blocks and a kernel per parity
+    # part that carries a class (4 even classes, each in its own block);
+    # no elimination is wider than the largest block's parity part
     model = tensor_product(s2_rotation(), s2_rotation())
+    degrees = model.degrees()
+    widest = max(
+        sum(degrees[g] % 2 == p for g in block) for block in model._blocks for p in (0, 1)
+    )
     calls = count_calls(Echelon)
     generic = cohomology_generic(model)
     assert (generic.even_rank, generic.odd_rank) == (4, 0)
-    assert len(calls) == 4
+    assert len(calls) == 2 * 9 + 4
+    assert max(args[0] for args in calls) == widest == 8
+
+
+def test_computed_representatives_are_numbered_by_free_column_across_blocks():
+    # d(x) = d(y) = z, w inert: block (0, 2, 3) has its free column at y,
+    # after block (1,)'s free column w
+    one, zero = Fraction(1), Fraction(0)
+    d = [[zero] * 4 for _ in range(4)]
+    d[3][0] = d[3][2] = one
+    model = InvariantModel(
+        name="two_blocks",
+        torus_rank=1,
+        generators=tuple(Generator(nm, k) for nm, k in (("x", 0), ("w", 0), ("y", 0), ("z", 1))),
+        d=tuple(map(tuple, d)),
+        contractions=(((zero,) * 4,) * 4,),
+        top_degree=1,
+    )
+    assert validate_model(model).ok and model._blocks == ((0, 2, 3), (1,))
+    generic = cohomology_generic(model)
+    assert [(nm, str(el)) for nm, el in generic.representatives] == [
+        ("even_0", "w"), ("even_1", "-1*x + y"),
+    ]
+
+
+def test_the_blocks_of_s2_and_of_products():
+    s2 = s2_rotation()
+    assert s2._blocks == ((0,), (1, 3, 6), (2, 4, 5, 7))
+    for a, b in ((s2, s2), (s2, builtin("c_alpha(1)")), (builtin("obstruction_pair"), s2)):
+        width = len(b.generators)
+        expected = sorted(
+            tuple(sorted(i * width + j for i in x for j in y))
+            for x in a._blocks
+            for y in b._blocks
+        )
+        assert tensor_product(a, b)._blocks == tuple(expected)
+
+
+def test_rank_one_hilbert_work_does_not_grow_with_the_cutoff(count_calls):
+    model = tensor_product(s2_rotation(), s2_rotation())
+    calls = count_calls(Echelon)
+    short = cohomology_hilbert(model, 40)
+    built = len(calls)
+    long = cohomology_hilbert(model, 400)
+    assert built and len(calls) == 2 * built
+    assert long[:41] == short and long[40:] == [4 * (k % 2 == 0) for k in range(40, 401)]
+    # a model without a single term builds no elimination at all
+    assert cohomology_hilbert(point(3), 20)[20] == comb(12, 2)
+    assert len(calls) == 2 * built
+
+
+def test_a_named_cocycle_across_two_components_names_its_class():
+    # u*one + w: "one" spans block (0,), w lies in (1, 3, 6)
+    base = s2_rotation()
+    one = Polynomial.one(1)
+    named = {"one": {0: one}, "w2": {0: U, 6: one, 1: U}}
+    model = dataclasses.replace(base, named_cocycles=named, fixed_points=())
+    assert validate_model(model).ok
+    assert base._blocks[:2] == ((0,), (1, 3, 6))
+    assert model._blocks == ((0, 1, 3, 6), (2, 4, 5, 7))
+    generic = cohomology_generic(model)
+    assert generic.names() == ["one", "w2"]
+    assert str(generic.elements()[1]) == str(named_cocycle_element(model, "w2"))
+
+
+@pytest.mark.parametrize("operator", ["d", "c_1"])
+@pytest.mark.parametrize("bad", [0.5, True, "1"], ids=repr)
+def test_an_entry_that_is_not_int_or_fraction_is_refused(operator, bad):
+    base = s2_rotation()
+    matrix = base.d if operator == "d" else base.contractions[0]
+    rows = [list(row) for row in matrix]
+    rows[2][5] = bad  # one wrong entry; the float 0.0 elsewhere would be read as zero
+    rows = tuple(map(tuple, rows))
+    changes = {"d": rows} if operator == "d" else {"contractions": (rows,)}
+    model = dataclasses.replace(base, named_cocycles={}, fixed_points=(), **changes)
+    message = f"{operator} entry at row 2, column 5 is {bad!r} ({type(bad).__name__})"
+    for query in (validate_model, cohomology_generic, cohomology_hilbert):
+        with pytest.raises(ModelStructureError, match=re.escape(message)):
+            query(model)
 
 
 def test_point_hilbert_table_is_the_polynomial_ring():

@@ -118,6 +118,16 @@ def test_commutation_violation_names_the_generator():
     assert any(issue.where == "t" for issue in d_issues)
 
 
+def test_the_identity_is_built_with_its_sparse_view():
+    model = tensor_product(s2_rotation(), s2_rotation())
+    f = identity_map(model)
+    assert f.pullback == tuple(
+        tuple(Fraction(int(i == j)) for j in range(64)) for i in range(64)
+    )
+    assert f._pullback_columns == gcomplex._sparse_columns(f.pullback, 64)
+    assert validate_map(f).ok
+
+
 def test_compose_requires_matching_endpoints():
     north = builtin_map("s2_north_inclusion")
     fresh_identity = identity_map(s2_rotation())  # distinct instance

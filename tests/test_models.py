@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -227,6 +228,13 @@ def test_tensor_product_matches_a_dense_kronecker_reference(label):
     d, contractions, integration, products = _kronecker_reference(a, b)
     assert model.d == d
     assert model.contractions == contractions
+    # the sparse view the product is built with is the scan of its matrices
+    def ordered(columns):
+        return [[list(column.items()) for column in op] for op in columns]
+
+    assert ordered(model._operator_columns) == ordered(
+        dataclasses.replace(model)._operator_columns
+    )
     assert dict(model.integration) == integration
     assert {key: dict(value) for key, value in model.product_table.items()} == products
 
@@ -298,6 +306,13 @@ def test_constructors_and_the_differential_match_dense_references(case):
     d, contractions, integration, products = _kronecker_reference(a, b)
     assert model.d == d
     assert model.contractions == contractions
+    # the sparse view the product is built with is the scan of its matrices
+    def ordered(columns):
+        return [[list(column.items()) for column in op] for op in columns]
+
+    assert ordered(model._operator_columns) == ordered(
+        dataclasses.replace(model)._operator_columns
+    )
     assert dict(model.integration) == integration
     # keys in the order of a loop over all pairs (left, right)
     assert [(key, dict(row)) for key, row in model.product_table.items()] == list(
