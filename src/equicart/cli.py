@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage or domain-precondition error (diagnostic on
 standard error), 2 a validation or consistency check failed (report still
 printed on standard output in the requested format), 3 an internal fault
-(an untyped ValueError from the library; "internal error: ..." on standard
-error).
+(an untyped ValueError, or an AssertionError from one of the library's
+internal consistency checks; "internal error: ..." on standard error).
 
 Output formats: `--format text` (default, human-readable) and `--format
 json` (stable schema, sorted keys, two-space indent, one trailing newline —
@@ -760,7 +760,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # no typed refusal: a fault of the library
+    except (ValueError, AssertionError) as exc:  # no typed refusal: a fault of the library
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     _emit(args.format, payload)

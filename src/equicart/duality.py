@@ -2,12 +2,16 @@
 
 Integration extends the model's top-degree functional S(t)-linearly and kills
 Cartan coboundaries; the pairing <a, b> = integral of a*b is perfect over the
-fraction field exactly when its rank equals the generic Betti total.  At torus
-rank 1 the coefficient ring is a graded principal ideal domain, so equivariant
+fraction field exactly when its rank equals the generic Betti total.  Each
+model holds the integral of every stored product of two generators (its
+integration form), so an integral of a product is a sum over the two
+supports and the product itself is never built.  At torus rank 1 the
+coefficient ring is a graded principal ideal domain, so equivariant
 cohomology decomposes exactly into a free part and monomial torsion blocks,
-computed by Smith normal form of the parity boundary matrices; the dual-module
-ranks come from the same data (Ext of a torsion block against the ring is the
-block again, with a degree twist).
+computed by Smith normal form one d_T block and parity at a time, and then
+one connected component of the relation matrix at a time; the dual-module
+ranks come from the same data (Ext of a torsion block against the ring is
+the block again, with a degree twist).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     Echelon,
@@ -29,7 +33,9 @@ from .gcomplex import (
     EquivariantElement,
     GenericCohomology,
     InvariantModel,
-    cartan_parity_matrices,
+    MissingProductError,
+    _component_roots,
+    _same_model,
     cohomology_generic,
     element_product,
 )
@@ -73,6 +79,44 @@ def integrate(model: InvariantModel, x: EquivariantElement) -> Coefficient:
     return total
 
 
+_UNSTORED = object()  # a pair with no stored product in the integration form
+
+
+def integrate_product(
+    model: InvariantModel, a: EquivariantElement, b: EquivariantElement
+) -> Coefficient:
+    """integrate(model, element_product(model, a, b)) without the product:
+    the sum of a_i * b_j * I[i, j] over the two supports, I the model's
+    integration form (``_integration_form``).
+
+    It refuses as that composition does, in the same order: a
+    MissingProductError for the first pair of the two supports whose
+    product is not stored, then a NonCompactModelError for a model without
+    integration or for a top-degree term with no integration entry that
+    survives in the product.  The last two take the composition itself.
+    """
+    _same_model(a, b)
+    if a.model is not model:
+        raise ValueError("element does not belong to the given model")
+    if not model.compact:
+        return integrate(model, element_product(model, a, b))
+    form, generators = model._integration_form, model.generators
+    total: Coefficient = Polynomial.zero(model.torus_rank)
+    for i, ci in a.terms.items():
+        row, inner = form[i], None
+        for j, cj in b.terms.items():
+            value = row.get(j, _UNSTORED)
+            if value is _UNSTORED:
+                raise MissingProductError(generators[i].name, generators[j].name)
+            if value is None:
+                return integrate(model, element_product(model, a, b))
+            if value:
+                inner = cj * value if inner is None else inner + cj * value
+        if inner is not None:
+            total = total + ci * inner
+    return total
+
+
 @dataclass(frozen=True)
 class Pairing:
     """The Poincare pairing on the generic cohomology basis."""
@@ -89,7 +133,8 @@ class Pairing:
 def pairing_matrix(
     model: InvariantModel, cohomology: Optional[GenericCohomology] = None
 ) -> Pairing:
-    """<rep_i, rep_j> = integrate(rep_i * rep_j) over the fraction field.
+    """<rep_i, rep_j> = integrate(rep_i * rep_j) over the fraction field,
+    read from the model's integration form (``integrate_product``).
 
     Needs every product of representative components in the product table;
     a missing pair raises MissingProductError naming it.
@@ -98,13 +143,10 @@ def pairing_matrix(
         cohomology = cohomology_generic(model)
     classes = cohomology.elements()
     n = model.torus_rank
-    rows = []
-    for a in classes:
-        row = []
-        for b in classes:
-            value = integrate(model, element_product(model, a, b))
-            row.append(RationalFunction.coerce(value, n))
-        rows.append(row)
+    rows = [
+        [RationalFunction.coerce(integrate_product(model, a, b), n) for b in classes]
+        for a in classes
+    ]
     if rows:
         matrix = MatrixF.from_rows(rows)
     else:
@@ -374,21 +416,21 @@ def _solve_in_basis(
 
 
 def _parity_presentation(
-    model: InvariantModel,
-    indices: List[int],
-    a_out: List[List[Polynomial]],
-    a_in: List[List[Polynomial]],
-    in_count: int,
+    model: InvariantModel, indices: List[int], others: List[int]
 ) -> Tuple[List[int], List[List[Polynomial]]]:
-    """Generators (kernel of a_out) and relations (image of a_in) of one
-    parity piece of equivariant cohomology, as a graded presentation."""
-    gen_degrees = [model.generators[i].degree for i in indices]
-    kernel = _kernel_basis_graded(a_out, len(indices))
+    """Generators (kernel of d_T out of the span of ``indices``) and
+    relations (the image of d_T from the span of ``others``) of one parity
+    of one block, as a graded presentation; ``others`` are the block's
+    generators of the other parity."""
+    table, zero = model._cartan_table, Polynomial.zero(1)
+    gen_degrees = [model.generators[g].degree for g in indices]
+    outgoing = [[table[g].get(h, zero) for g in indices] for h in others]
+    kernel = _kernel_basis_graded(outgoing, len(indices))
     degrees = [
         _column_degree(col, gen_degrees, f"kernel column {j}")
         for j, col in enumerate(kernel)
     ]
-    targets = [[a_in[i][j] for i in range(len(indices))] for j in range(in_count)]
+    targets = [[table[h].get(g, zero) for g in indices] for h in others]
     targets = [t for t in targets if not all(entry.is_zero for entry in t)]
     relations: List[List[Polynomial]] = [[] for _ in kernel]
     for coords in _solve_in_basis(kernel, targets, len(indices)):
@@ -398,33 +440,45 @@ def _parity_presentation(
 
 
 def presentation_from_model(model: InvariantModel) -> ModulePresentation:
-    """Graded presentation of H_T(model) over Q[u] (torus rank 1 only):
-    parity by parity, generators are a kernel basis of the outgoing Cartan
-    matrix and relations express the incoming image in that basis."""
+    """Graded presentation of H_T(model) over Q[u] (torus rank 1 only).
+
+    H_T is the direct sum over the model's blocks (``_blocks``) and the two
+    parities, so each parity of each block is presented on its own: its
+    generators are a kernel basis of d_T out of it, its relations express
+    the image of d_T from the block's other parity in that basis.  The
+    relation matrix is block diagonal: every even piece, block by block,
+    then every odd one.
+    """
     if model.torus_rank != 1:
         raise UnsupportedRankError(
             "module decomposition requires torus rank 1, got rank "
             f"{model.torus_rank}"
         )
-    even, odd, a_eo, a_oe = cartan_parity_matrices(model)
-    even_degrees, even_relations = _parity_presentation(
-        model, even, a_eo, a_oe, len(odd)
-    )
-    odd_degrees, odd_relations = _parity_presentation(
-        model, odd, a_oe, a_eo, len(even)
-    )
-    degrees = even_degrees + odd_degrees
-    e_cols = len(even_relations[0]) if even_relations else 0
-    o_cols = len(odd_relations[0]) if odd_relations else 0
+    degrees = model.degrees()
+    parts = [
+        [[g for g in block if degrees[g] % 2 == p] for p in (0, 1)]
+        for block in model._blocks
+    ]
+    pieces = [
+        _parity_presentation(model, pair[p], pair[1 - p])
+        for p in (0, 1)
+        for pair in parts
+        if pair[p]
+    ]
+    width = sum(len(relations[0]) for _, relations in pieces if relations)
     zero = Polynomial.zero(1)
+    generator_degrees: List[int] = []
     rows: List[Tuple[Polynomial, ...]] = []
-    for row in even_relations:
-        rows.append(tuple(row) + (zero,) * o_cols)
-    for row in odd_relations:
-        rows.append((zero,) * e_cols + tuple(row))
+    offset = 0
+    for piece_degrees, relations in pieces:
+        generator_degrees.extend(piece_degrees)
+        cols = len(relations[0]) if relations else 0
+        for row in relations:
+            rows.append((zero,) * offset + tuple(row) + (zero,) * (width - offset - cols))
+        offset += cols
     return ModulePresentation(
         torus_rank=1,
-        generator_degrees=tuple(degrees),
+        generator_degrees=tuple(generator_degrees),
         relations=tuple(rows),
     )
 
@@ -442,47 +496,81 @@ def _inverse_unimodular(u: List[List[Polynomial]]) -> List[List[Polynomial]]:
     return [[columns[j][i].as_polynomial() for j in range(size)] for i in range(size)]
 
 
-def classify_presentation(p: ModulePresentation) -> ModuleClassification:
-    """Smith normal form of the relation matrix; unit factors cancel
-    generators, nonunit factors are the torsion divisors, the rest is free.
-    Degrees are read off the transformed generator basis."""
-    if p.torus_rank != 1:
-        raise UnsupportedRankError("classification requires torus rank 1")
+def _relation_components(p: ModulePresentation) -> List[Tuple[List[int], List[int]]]:
+    """The connected components of the relation matrix's nonzero pattern:
+    (generator rows, relation columns) per component, both ascending.  A
+    generator in no relation is a component with no columns; a zero
+    relation is in none."""
     s = len(p.generator_degrees)
-    if s == 0:
-        return ModuleClassification(0, (), (), ())
-    if p.relation_count == 0:
-        return ModuleClassification(
-            s, tuple(sorted(p.generator_degrees)), (), ()
-        )
-    u, d, _ = smith_normal_form([list(row) for row in p.relations])
+    support = [
+        [i for i in range(s) if not p.relations[i][j].is_zero]
+        for j in range(p.relation_count)
+    ]
+    roots = _component_roots(s, support)
+    components: Dict[int, Tuple[List[int], List[int]]] = {}
+    for i, root in enumerate(roots):
+        components.setdefault(root, ([], []))[0].append(i)
+    for j, rows in enumerate(support):
+        if rows:
+            components[roots[rows[0]]][1].append(j)
+    return list(components.values())
+
+
+def _classify_component(
+    relations: List[List[Polynomial]], generator_degrees: List[int]
+) -> Tuple[List[int], List[Tuple[Polynomial, int]]]:
+    """Free generator degrees and (divisor, generator degree) torsion blocks
+    of one presented module: Smith normal form of the relation matrix, unit
+    factors cancel generators, nonunit factors are the torsion divisors, the
+    rest is free; degrees are read off the transformed generator basis."""
+    s = len(generator_degrees)
+    u, d, _ = smith_normal_form(relations)
     u_inv = _inverse_unimodular(u)
-    factors = []
-    for i in range(min(s, p.relation_count)):
-        if not d[i][i].is_zero:
-            factors.append(d[i][i])
-    rank = len(factors)
+    factors = [d[i][i] for i in range(min(s, len(relations[0]))) if not d[i][i].is_zero]
     basis_degree = [
         _column_degree(
             [u_inv[i][j] for i in range(s)],
-            list(p.generator_degrees),
+            generator_degrees,
             f"transformed generator {j}",
         )
         for j in range(s)
     ]
-    divisors = []
-    torsion_degrees = []
-    for i, factor in enumerate(factors):
-        if factor.degree() == 0:
+    torsion = [
+        (factor, basis_degree[i])
+        for i, factor in enumerate(factors)
+        if factor.degree() > 0
+    ]
+    return basis_degree[len(factors):], torsion
+
+
+def classify_presentation(p: ModulePresentation) -> ModuleClassification:
+    """Exact decomposition of a presented module, one connected component of
+    the relation matrix's nonzero pattern at a time (the module is their
+    direct sum): each component with relations is classified by its own
+    Smith normal form.  Every divisor of a homogeneous presentation is a
+    power of u, so the merged blocks form the decomposition of the whole:
+    free degrees sorted, torsion ordered by (divisor degree, generator
+    degree)."""
+    if p.torus_rank != 1:
+        raise UnsupportedRankError("classification requires torus rank 1")
+    free_degrees: List[int] = []
+    torsion: List[Tuple[Polynomial, int]] = []
+    for rows, cols in _relation_components(p):
+        degrees = [p.generator_degrees[i] for i in rows]
+        if not cols:
+            free_degrees.extend(degrees)
             continue
-        divisors.append(factor)
-        torsion_degrees.append(basis_degree[i])
-    free_degrees = sorted(basis_degree[j] for j in range(rank, s))
+        free, blocks = _classify_component(
+            [[p.relations[i][j] for j in cols] for i in rows], degrees
+        )
+        free_degrees.extend(free)
+        torsion.extend(blocks)
+    torsion.sort(key=lambda block: (block[0].degree(), block[1]))
     return ModuleClassification(
-        free_rank=s - rank,
-        free_degrees=tuple(free_degrees),
-        divisors=tuple(divisors),
-        torsion_degrees=tuple(torsion_degrees),
+        free_rank=len(free_degrees),
+        free_degrees=tuple(sorted(free_degrees)),
+        divisors=tuple(divisor for divisor, _ in torsion),
+        torsion_degrees=tuple(degree for _, degree in torsion),
     )
 
 

@@ -28,7 +28,8 @@ h ascending.  It is the one scan of the dense matrices.  From it come:
   the products of nonzero entries, not g^3;
 - the blocks: the connected components of the nonzero pattern of d_T, with
   the support of each named cocycle joined.  C is their direct sum as a
-  complex and H_T the direct sum of their cohomologies, so both engines
+  complex and H_T the direct sum of their cohomologies, so both engines,
+  the rank-1 module presentation and the decomposition of classes
   eliminate block by block; a product of models has one block per pair of
   factor blocks, and elimination that never mixes them keeps the
   fraction-free coefficients from growing across blocks.
@@ -47,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from math import comb
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
     DEFAULT_SEED,
@@ -100,9 +101,10 @@ class InvariantModel:
     the library reads them once, into ``_operator_columns`` (d and each c_i
     by sparse columns), and derives from that view the d_T table
     ``_cartan_table`` and the split of the generators into blocks
-    ``_blocks``.  All three are built on first use and kept: a model is
-    frozen and its matrices are tuples, and ``dataclasses.replace`` makes a
-    new model with views of its own.
+    ``_blocks``; the pairing reads the product table and the integration
+    through one more view, ``_integration_form``.  All four are built on
+    first use and kept: a model is frozen and its matrices are tuples, and
+    ``dataclasses.replace`` makes a new model with views of its own.
     """
 
     name: str
@@ -219,30 +221,63 @@ class InvariantModel:
         cocycle lies in one block.  Blocks are ordered by their smallest
         generator, each ascending.  C is the direct sum of its blocks as a
         complex, and H_T the direct sum of their cohomologies."""
-        root = list(range(len(self.generators)))
-
-        def find(g: int) -> int:
-            while root[g] != g:
-                root[g] = root[root[g]]
-                g = root[g]
-            return g
-
-        def join(g: int, h: int) -> None:
-            g, h = find(g), find(h)
-            root[max(g, h)] = min(g, h)  # a root is its block's smallest generator
-
-        for operator in self._operator_columns:
-            for g, column in enumerate(operator):
-                for h in column:
-                    join(g, h)
-        for raw in self.named_cocycles.values():
-            support = list(raw)
-            for h in support[1:]:
-                join(support[0], h)
+        entries = (
+            (g, h)
+            for operator in self._operator_columns
+            for g, column in enumerate(operator)
+            for h in column
+        )
+        supports = (list(raw) for raw in self.named_cocycles.values())
+        roots = _component_roots(len(self.generators), chain(entries, supports))
         blocks: Dict[int, List[int]] = {}
-        for g in range(len(self.generators)):
-            blocks.setdefault(find(g), []).append(g)
+        for g, root in enumerate(roots):
+            blocks.setdefault(root, []).append(g)
         return tuple(map(tuple, blocks.values()))
+
+    @cached_property
+    def _integration_form(self) -> Tuple[Dict[int, Optional[Fraction]], ...]:
+        """The integral of every stored product of two generators, read
+        once from the product table and ``integration``: per generator i,
+        {j: integral of g_i * g_j} over every j whose product with i is
+        stored, in either order (a swapped pair carries the graded sign).
+        Exact, and nonzero only where the product reaches the top degree.
+        None marks a product with a nonzero term on a top-degree generator
+        that has no integration entry: only the whole product of two
+        elements can tell whether that term survives."""
+        top, degrees = self.top_degree, self.degrees()
+        form: List[Dict[int, Optional[Fraction]]] = [{} for _ in self.generators]
+        for (i, j), row in self.product_table.items():
+            value: Optional[Fraction] = Fraction(0)
+            for k, entry in row.items():
+                if degrees[k] != top or not entry:
+                    continue
+                if k not in self.integration:
+                    value = None
+                    break
+                value += entry * self.integration[k]
+            form[i][j] = value
+            if i != j:
+                odd = value is not None and degrees[i] * degrees[j] % 2
+                form[j][i] = -value if odd else value
+        return tuple(form)
+
+
+def _component_roots(count: int, links: Iterable[Sequence[int]]) -> List[int]:
+    """Per element of 0..count-1, the smallest element of its connected
+    component, where each link joins all of its members (union-find)."""
+    root = list(range(count))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for link in links:
+        for y in link[1:]:
+            a, b = find(link[0]), find(y)
+            root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(count)]
 
 
 def _sparse_columns(matrix, width: int) -> Tuple[Dict[int, Fraction], ...]:
@@ -731,22 +766,6 @@ def _transposed(columns: Sequence[Mapping[int, Polynomial]], height: int) -> Lis
         for h, entry in column.items():
             rows[h][g] = entry
     return rows
-
-
-def cartan_parity_matrices(model: InvariantModel) -> tuple:
-    """(even_idx, odd_idx, A_eo, A_oe): d_T on the 2-periodic complex, dense.
-
-    A_eo maps the even span into the odd span (rows indexed by odd
-    generators) with Polynomial entries d[h][g] + sum_i u_i c_i[h][g], read
-    from the model's sparse d_T table; ``cohomology_generic`` reads that
-    table directly, this view serves the presentation and decomposition
-    code, which works on dense rows.
-    """
-    even, odd = model.parity_indices()
-    table, zero = model._cartan_table, Polynomial.zero(model.torus_rank)
-    a_eo = [[table[g].get(h, zero) for g in even] for h in odd]
-    a_oe = [[table[g].get(h, zero) for g in odd] for h in even]
-    return even, odd, a_eo, a_oe
 
 
 @dataclass(frozen=True)

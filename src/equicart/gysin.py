@@ -9,7 +9,8 @@ pullback under the two Poincare pairings:
     <f* a_i, b_j>_source = <a_i, X b_j>_target   for all basis pairs,
 
 solved as X = P_target^-1 * F^t * P_source and re-verified entry by entry
-against independently computed products and integrals.
+against integrals of products computed independently of the solver (from
+each model's integration form).
 
 One MapAnalysis per map carries this flow: it holds a ModelAnalysis of the
 source and of the target (the same object for an endomorphism), so each
@@ -39,17 +40,17 @@ from .algebra import (
     RationalFunction,
     matmul,
 )
-from .duality import DecompositionError, ModelAnalysis, integrate
+from .duality import DecompositionError, ModelAnalysis, integrate_product
 from .euler import FixedPointDatum
 from .gcomplex import (
     EquivariantElement,
     InvariantModel,
+    _component_roots,
     _composed_column,
     _matrix,
     _sparse_columns,
     apply_rational_matrix,
     cartan_differential,
-    cartan_parity_matrices,
     degree_violations,
     element_product,
     operator_residuals,
@@ -241,41 +242,83 @@ def decompose_in_basis(
     return decompose_many(model, basis, [x])[0]
 
 
+def _decomposition_groups(
+    model: InvariantModel, basis: Sequence[EquivariantElement]
+) -> List[int]:
+    """Per generator, its group: the model's blocks (``_blocks``), joined
+    wherever one basis class has support in several of them, each group
+    named by its first block.  The complex, the image of d_T and the span
+    of the basis are direct sums over the groups."""
+    block_of = [0] * len(model.generators)
+    for b, block in enumerate(model._blocks):
+        for g in block:
+            block_of[g] = b
+    supports = ([block_of[g] for g in x.terms] for x in basis)
+    roots = _component_roots(len(model._blocks), supports)
+    return [roots[b] for b in block_of]
+
+
 def decompose_many(
     model: InvariantModel,
     basis: Sequence[EquivariantElement],
     elements: Sequence[EquivariantElement],
 ) -> List[List[RationalFunction]]:
-    """``decompose_in_basis`` for each element, with one elimination per
-    parity: the elements of that parity are its right-hand sides."""
+    """``decompose_in_basis`` for each element, group by group.
+
+    The complex and the image of d_T are direct sums over the model's
+    blocks, and so is the span of a basis whose classes each lie in one
+    block (blocks that one class spans are taken together as a group).  So
+    [x] = sum_k coeff_k [basis_k] holds exactly when it holds for the piece
+    of x in each group, against that group's classes and d_T columns: one
+    elimination per group and parity that some element touches, with the
+    pieces of those elements as right-hand sides."""
     n = model.torus_rank
     zero = RationalFunction.constant(n, 0)
     out = [[zero] * len(basis) for _ in elements]
-    even, odd, a_eo, a_oe = cartan_parity_matrices(model)
-    by_parity: Dict[int, List[int]] = {}
-    for pos, x in enumerate(elements):
-        if not x.is_zero:
-            by_parity.setdefault(_parity_of(x), []).append(pos)
-    for parity, positions in by_parity.items():
-        indices = even if parity == 0 else odd
-        boundary = a_oe if parity == 0 else a_eo  # maps INTO this parity
-        same_parity = [
-            k for k, b in enumerate(basis) if b.is_zero or _parity_of(b) == parity
+    nonzero = [pos for pos, x in enumerate(elements) if not x.is_zero]
+    if not nonzero:
+        return out
+    group = _decomposition_groups(model, basis)
+    members: Dict[int, List[int]] = {}
+    for g, g_id in enumerate(group):
+        members.setdefault(g_id, []).append(g)
+    touched: Dict[Tuple[int, int], List[int]] = {}  # (group, parity) -> positions
+    for pos in nonzero:
+        x = elements[pos]
+        parity = _parity_of(x)
+        for key in dict.fromkeys((group[g], parity) for g in x.terms):
+            touched.setdefault(key, []).append(pos)
+    classes: Dict[Tuple[int, int], List[int]] = {}  # (group, parity) -> classes
+    for k, b in enumerate(basis):
+        if not b.is_zero:
+            classes.setdefault((group[next(iter(b.terms))], _parity_of(b)), []).append(k)
+    degrees, table = model.degrees(), model._cartan_table
+    for (g_id, parity), positions in touched.items():
+        rows = [g for g in members[g_id] if degrees[g] % 2 == parity]
+        own = classes.get((g_id, parity), [])
+        boundary = [
+            column
+            for column in (
+                {h: entry for h, entry in table[g].items() if degrees[h] % 2 == parity}
+                for g in members[g_id]
+                if degrees[g] % 2 != parity
+            )
+            if column
         ]
-        boundary_cols = len(boundary[0]) if boundary else 0
-        echelon = Echelon(len(same_parity) + boundary_cols, n, nrhs=len(positions))
-        for i, gen in enumerate(indices):
+        width = len(own) + len(boundary)
+        columns = [basis[k].terms for k in own] + boundary
+        columns += [elements[pos].terms for pos in positions]
+        echelon = Echelon(width, n, nrhs=len(positions))
+        for h in rows:
             echelon.add_row(
-                [basis[k].coefficient(gen) for k in same_parity]
-                + boundary[i]
-                + [elements[pos].coefficient(gen) for pos in positions]
+                {col: column[h] for col, column in enumerate(columns) if h in column}
             )
         for pos, solution in zip(positions, echelon.solve()):
             if solution is None:
                 raise DecompositionError(
                     f"cocycle does not decompose in the basis of {model.name!r}"
                 )
-            for col, k in enumerate(same_parity):
+            for col, k in enumerate(own):
                 out[pos][k] = solution[col]
     return out
 
@@ -419,22 +462,22 @@ class MapAnalysis:
         self, gysin: GysinMatrix
     ) -> List[Tuple[int, int, RationalFunction]]:
         """<f* a_i, b_j>_source - <a_i, f_* b_j>_target for every basis pair,
-        computed from products and integrals only (independent of the
+        computed from integrals of products only (independent of the
         solver)."""
         f = self.map
         n = f.source.torus_rank
         source_classes = self.source.cohomology.elements()
         target_classes = self.target.cohomology.elements()
+        pushed = [
+            _gysin_image(f, gysin, target_classes, j) for j in range(len(source_classes))
+        ]
         out = []
         for i, alpha in enumerate(target_classes):
             pulled = pullback_element(f, alpha)
             for j, beta in enumerate(source_classes):
-                lhs = RationalFunction.coerce(
-                    integrate(f.source, element_product(f.source, pulled, beta)), n
-                )
-                pushed = _gysin_image(f, gysin, target_classes, j)
+                lhs = RationalFunction.coerce(integrate_product(f.source, pulled, beta), n)
                 rhs = RationalFunction.coerce(
-                    integrate(f.target, element_product(f.target, alpha, pushed)), n
+                    integrate_product(f.target, alpha, pushed[j]), n
                 )
                 out.append((i, j, lhs - rhs))
         return out

@@ -128,6 +128,18 @@ def test_an_untyped_library_fault_is_an_internal_error(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: u does not divide 1\n")
 
 
+def test_a_failed_internal_check_is_an_internal_error(capsys, monkeypatch):
+    # the module classification signals its internal faults by AssertionError
+    def fault(u):
+        raise AssertionError("unimodular matrix failed to invert")
+
+    monkeypatch.setattr(equicart.duality, "_inverse_unimodular", fault)
+    code, out, err = invoke(capsys, "classify", "--model", "builtin:circle_free")
+    assert (code, out, err) == (
+        3, "", "internal error: unimodular matrix failed to invert\n"
+    )
+
+
 # -- validate --------------------------------------------------------------------
 
 

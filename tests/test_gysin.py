@@ -194,6 +194,51 @@ def test_decomposition_batch_recovers_coordinates_of_both_parities():
         decompose_many(model, basis, [x_even, element(model, {"one.t": 1})])
 
 
+def _sphere_square():
+    """s2 x s2, its basis of classes (each in its own d_T block, 9 blocks in
+    all) and a combination of all of them plus a coboundary, spread over
+    many blocks."""
+    s2 = s2_rotation()
+    model = tensor_product(s2, s2)
+    basis = cohomology_generic(model).elements()
+    coords = [rf(3), rf(U) / rf(U + 2), rf(-1), rf(U * U - 1)]
+    x = cartan_differential(
+        model, element(model, {"one.dt": 1, "t.dq": U, "dt.vol": 2, "s.one": -1})
+    )
+    for coeff, b in zip(coords, basis):
+        x = x + b.scaled(coeff)
+    return model, basis, coords, x
+
+
+def test_decomposition_spans_several_blocks():
+    model, basis, coords, x = _sphere_square()
+    block_of = {g: b for b, block in enumerate(model._blocks) for g in block}
+    assert len({block_of[g] for b in basis for g in b.terms}) == len(basis)
+    assert len({block_of[g] for g in x.terms}) > len(basis)
+    assert decompose_many(model, basis, [x, basis[2]]) == [coords, [rf(0), rf(0), rf(1), rf(0)]]
+    # a class spread over two blocks joins them: x = 3 (b0 + b1) + (c1 - 3) b1 + ...
+    spread = [basis[0] + basis[1]] + basis[1:]
+    assert decompose_in_basis(model, spread, x) == [coords[0], coords[1] - coords[0]] + coords[2:]
+
+
+def test_decomposition_keeps_a_zero_basis_class_at_zero():
+    model, basis, coords, x = _sphere_square()
+    zero = element(model, {})
+    padded = [zero] + basis[:2] + [zero] + basis[2:]
+    assert decompose_in_basis(model, padded, x) == [rf(0)] + coords[:2] + [rf(0)] + coords[2:]
+
+
+def test_a_cocycle_outside_the_span_does_not_decompose():
+    model, basis, _, x = _sphere_square()
+    # every other block still decomposes; the block of the dropped class
+    # holds a cocycle that is not a coboundary
+    with pytest.raises(DecompositionError, match="does not decompose"):
+        decompose_many(model, basis[:3], [basis[0], x])
+    assert decompose_many(model, basis[:3], [x - basis[3].scaled(rf(U * U - 1))]) == [
+        [rf(3), rf(U) / rf(U + 2), rf(-1)]
+    ]
+
+
 # -- Gysin morphisms ---------------------------------------------------------------
 
 
