@@ -321,8 +321,7 @@ def _cmd_classify(args) -> Tuple[int, dict]:
     if args.model is None:
         raise UsageError("classify needs --model or --matrix")
     model = models.resolve_model(args.model)
-    presentation = duality.presentation_from_model(model)
-    classification = duality.classify_presentation(presentation)
+    classification = duality.classify_rank1(model)
     ext = classification.dual
     cutoff = _cutoff(args, model)
     implied = classification.implied_hilbert(cutoff)
@@ -382,27 +381,25 @@ def _classify_matrix(args) -> Tuple[int, dict]:
 
 def _cmd_pairing(args) -> Tuple[int, dict]:
     model = models.resolve_model(args.model)
-    analysis = duality.ModelAnalysis(model)
-    pairing = analysis.pairing
+    pairing = duality.pairing_matrix(model)
     payload = {
         "model": model.name,
         "basis": list(pairing.names),
         "matrix": _matrix_strings(pairing.matrix),
-        "rank": analysis.duality.pairing_rank,
+        "rank": duality.duality_check(model).pairing_rank,
     }
     return 0, payload
 
 
 def _cmd_duality(args) -> Tuple[int, dict]:
     model = models.resolve_model(args.model)
-    analysis = duality.ModelAnalysis(model)
-    report = analysis.duality
+    report = duality.duality_check(model)
     payload = {
         "model": model.name,
         "pairing_rank": report.pairing_rank,
         "generic_betti_total": report.generic_betti_total,
         "perfect": report.perfect,
-        "is_torsion": analysis.is_torsion,
+        "is_torsion": duality.is_torsion(model),
     }
     return (0 if report.perfect else 2), payload
 
@@ -427,15 +424,14 @@ def _cmd_gysin(args) -> Tuple[int, dict]:
             for i in report.issues
         ]
         return 2, payload
-    analysis = gysin.MapAnalysis(f)
-    pullback = analysis.pullback
+    pullback = gysin.pullback_cohomology(f)
     payload["pullback_matrix"] = _matrix_strings(pullback)
-    if analysis.target.is_torsion:
+    if duality.is_torsion(f.target):
         payload["note"] = TORSION_GYSIN_NOTE
         payload["gysin_shape"] = [0, pullback.rows]
         return 0, payload
-    g = analysis.gysin
-    projection = analysis.projection_formula()
+    g = gysin.gysin_localized(f)
+    projection = gysin.projection_formula_check(f)
     payload["gysin"] = {
         "source_basis": list(g.source_basis),
         "target_basis": list(g.target_basis),

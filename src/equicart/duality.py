@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .algebra import (
     Echelon,
@@ -34,9 +34,9 @@ from .gcomplex import (
     GenericCohomology,
     InvariantModel,
     MissingProductError,
+    _cohomology_generic,
     _component_roots,
     _same_model,
-    cohomology_generic,
     element_product,
 )
 
@@ -130,33 +130,10 @@ class Pairing:
         return self.matrix[i, j]
 
 
-def pairing_matrix(
-    model: InvariantModel, cohomology: Optional[GenericCohomology] = None
-) -> Pairing:
-    """<rep_i, rep_j> = integrate(rep_i * rep_j) over the fraction field,
-    read from the model's integration form (``integrate_product``).
-
-    Needs every product of representative components in the product table;
-    a missing pair raises MissingProductError naming it.
-    """
-    if cohomology is None:
-        cohomology = cohomology_generic(model)
-    classes = cohomology.elements()
-    n = model.torus_rank
-    rows = [
-        [RationalFunction.coerce(integrate_product(model, a, b), n) for b in classes]
-        for a in classes
-    ]
-    if rows:
-        matrix = MatrixF.from_rows(rows)
-    else:
-        matrix = MatrixF(0, 0, ())
-    return Pairing(
-        model_name=model.name,
-        names=tuple(cohomology.names()),
-        classes=tuple(classes),
-        matrix=matrix,
-    )
+def pairing_matrix(model: InvariantModel) -> Pairing:
+    """<rep_i, rep_j> = integrate(rep_i * rep_j) over the fraction field
+    (see ModelAnalysis.pairing)."""
+    return model._analysis.pairing
 
 
 @dataclass(frozen=True)
@@ -180,11 +157,11 @@ class DualityReport:
 class ModelAnalysis:
     """What the pipeline derives from one model, each part computed on first
     use and then held: generic cohomology, the pairing on its basis, the
-    duality report and the inverse pairing.
-
-    The rank in the report and the inverse come from one elimination of
-    [pairing | identity].  Nothing is shared between analyses: a caller that
-    needs several parts for one model builds one analysis and asks it.
+    duality report, the inverse pairing, and the rank-1 presentation and
+    classification.  Each model holds one (``InvariantModel._analysis``),
+    which every public entry point reads; a refusal is never held.  The
+    rank in the report and the inverse come from one elimination of
+    [pairing | identity].
     """
 
     def __init__(self, model: InvariantModel):
@@ -192,7 +169,7 @@ class ModelAnalysis:
 
     @cached_property
     def cohomology(self) -> GenericCohomology:
-        return cohomology_generic(self.model)
+        return _cohomology_generic(self.model)
 
     @property
     def is_torsion(self) -> bool:
@@ -201,7 +178,17 @@ class ModelAnalysis:
 
     @cached_property
     def pairing(self) -> Pairing:
-        return pairing_matrix(self.model, self.cohomology)
+        """Read from the integration form (``integrate_product``); a
+        missing product raises MissingProductError naming it."""
+        model, cohomology = self.model, self.cohomology
+        classes = cohomology.elements()
+        rows = [
+            [RationalFunction.coerce(integrate_product(model, a, b), model.torus_rank)
+             for b in classes]
+            for a in classes
+        ]
+        matrix = MatrixF.from_rows(rows) if rows else MatrixF(0, 0, ())
+        return Pairing(model.name, tuple(cohomology.names()), tuple(classes), matrix)
 
     @cached_property
     def _pairing_echelon(self) -> Echelon:
@@ -224,26 +211,32 @@ class ModelAnalysis:
         )
 
     @cached_property
-    def inverse_pairing(self) -> List[List[RationalFunction]]:
+    def inverse_pairing(self) -> Tuple[Tuple[RationalFunction, ...], ...]:
         columns = self._pairing_echelon.solve()
         if any(column is None for column in columns):
             raise DecompositionError(
                 f"pairing of {self.model.name!r} is singular; "
                 "the model's integration or products are defective"
             )
-        size = len(columns)
-        return [[columns[j][i] for j in range(size)] for i in range(size)]
+        return tuple(zip(*columns))  # rows
+
+    @cached_property
+    def presentation(self) -> ModulePresentation:
+        return _presentation(self.model)
+
+    @cached_property
+    def classification(self) -> ModuleClassification:
+        return classify_presentation(self.presentation)
 
 
 def duality_check(model: InvariantModel) -> DualityReport:
-    """Perfect iff the pairing matrix has full rank on the generic basis
-    (see ModelAnalysis.duality)."""
-    return ModelAnalysis(model).duality
+    """The duality report of the model (see ModelAnalysis.duality)."""
+    return model._analysis.duality
 
 
 def is_torsion(model: InvariantModel) -> bool:
     """True iff the fraction-field cohomology vanishes entirely."""
-    return ModelAnalysis(model).is_torsion
+    return model._analysis.is_torsion
 
 
 # -- rank-1 module classification ---------------------------------------------
@@ -440,7 +433,13 @@ def _parity_presentation(
 
 
 def presentation_from_model(model: InvariantModel) -> ModulePresentation:
-    """Graded presentation of H_T(model) over Q[u] (torus rank 1 only).
+    """Graded presentation of H_T(model) over Q[u] (torus rank 1 only; see
+    ModelAnalysis.presentation)."""
+    return model._analysis.presentation
+
+
+def _presentation(model: InvariantModel) -> ModulePresentation:
+    """The computation behind ``presentation_from_model``.
 
     H_T is the direct sum over the model's blocks (``_blocks``) and the two
     parities, so each parity of each block is presented on its own: its
@@ -575,8 +574,9 @@ def classify_presentation(p: ModulePresentation) -> ModuleClassification:
 
 
 def classify_rank1(model: InvariantModel) -> ModuleClassification:
-    """Exact decomposition of H_T(model) over Q[u]."""
-    return classify_presentation(presentation_from_model(model))
+    """Exact decomposition of H_T(model) over Q[u] (see
+    ModelAnalysis.classification)."""
+    return model._analysis.classification
 
 
 @dataclass(frozen=True)

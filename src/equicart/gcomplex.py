@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
 from math import comb
+from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -97,14 +98,12 @@ class InvariantModel:
     sign (-1)^{|i||j|}.  Integration assigns a rational to every generator of
     degree top_degree when the model is compact.
 
-    The dense matrices are the stored form, with int or Fraction entries;
-    the library reads them once, into ``_operator_columns`` (d and each c_i
-    by sparse columns), and derives from that view the d_T table
-    ``_cartan_table`` and the split of the generators into blocks
-    ``_blocks``; the pairing reads the product table and the integration
-    through one more view, ``_integration_form``.  All four are built on
-    first use and kept: a model is frozen and its matrices are tuples, and
-    ``dataclasses.replace`` makes a new model with views of its own.
+    A model is immutable after construction, so every view and analysis
+    derived from it is computed on first use and stored on the instance:
+    ``_operator_columns`` (d and each c_i by sparse columns, the one read of
+    the dense matrices), ``_cartan_table`` (d_T), ``_blocks``,
+    ``_integration_form`` and ``_analysis`` (duality.ModelAnalysis).  A
+    refusal is not stored; ``dataclasses.replace`` makes a new model.
     """
 
     name: str
@@ -261,6 +260,12 @@ class InvariantModel:
                 form[j][i] = -value if odd else value
         return tuple(form)
 
+    @cached_property
+    def _analysis(self):
+        from .duality import ModelAnalysis  # duality imports this module
+
+        return ModelAnalysis(self)
+
 
 def _component_roots(count: int, links: Iterable[Sequence[int]]) -> List[int]:
     """Per element of 0..count-1, the smallest element of its connected
@@ -301,16 +306,17 @@ def _matrix(
     return tuple(tuple(row) for row in m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquivariantElement:
-    """Finite sum of coefficient tensor generator terms.
+    """Finite sum of coefficient tensor generator terms; immutable, its
+    ``terms`` read-only, so a stored result can be shared.
 
     Coefficients are Polynomial for genuine Cartan-complex elements and may be
     RationalFunction for localized (fraction-field) representatives.
     """
 
     model: InvariantModel
-    terms: Dict[int, Coefficient]
+    terms: Mapping[int, Coefficient]
 
     def __post_init__(self):
         clean = {}
@@ -323,7 +329,7 @@ class EquivariantElement:
                 raise ValueError("coefficient rank does not match the model")
             if not coeff.is_zero:
                 clean[idx] = coeff
-        self.terms = clean
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @property
     def is_zero(self) -> bool:
@@ -458,7 +464,7 @@ def graded_product(
         row, sign = model.product_table.get((i, j)), 1
     else:
         row = model.product_table.get((j, i))
-        sign = (-1) ** (model.generators[i].degree * model.generators[j].degree)
+        sign = (-1) ** (model.generators[i].degree * model.generators[j].degree % 2)
     return None if row is None else (row, sign)
 
 
@@ -829,7 +835,13 @@ class _Part:
 
 def cohomology_generic(model: InvariantModel) -> GenericCohomology:
     """Even and odd ranks of the localized 2-periodic complex, plus
-    representative cocycles independent modulo the image.
+    representative cocycles independent modulo the image (held by the
+    model's analysis)."""
+    return model._analysis.cohomology
+
+
+def _cohomology_generic(model: InvariantModel) -> GenericCohomology:
+    """The computation behind ``cohomology_generic``.
 
     The complex is the direct sum of the model's blocks (``_blocks``), so
     every elimination runs on one parity of one block: the image into it
@@ -942,18 +954,18 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
 
     Slice k of S(t) tensor C has basis u^e tensor g with 2|e| + |g| = k; its
     dimension is counted, not enumerated.  The rank of d_T from slice k to
-    slice k+1 is the sum of its ranks on the model's blocks (``_blocks``),
-    each taken over the rows of generators with a term only: an inert
-    generator (an empty column of the model's d_T table) spans part of the
-    kernel, and a block without a row in the slice builds nothing.  Each
-    table entry splits into its d term (the constant) and its c_i terms
-    (the coefficients of u_i); a term of the wrong degree has no target in
-    the next slice and is dropped.
+    slice k+1, from k = -1 when a generator has negative degree, is the sum
+    of its ranks on the model's blocks (``_blocks``), each taken over the
+    rows of generators with a term only: an inert generator (an empty column
+    of the model's d_T table) spans part of the kernel, and a block without
+    a row in the slice builds nothing.  Each table entry splits into its d
+    term (the constant) and its c_i terms (the coefficients of u_i); a term
+    of the wrong degree has no target in the next slice and is dropped.
 
     At torus rank 1, multiplication by u maps slices k and k+1 onto slices
     k+2 and k+3 and commutes with d_T once no generator has degree k+2 or
-    k+3, so only the slices up to the top generator degree are eliminated
-    and every later rank repeats the rank two slices below.
+    k+3, so only the slices up to the top generator degree (at least 0) are
+    eliminated and every later rank repeats the rank two slices below.
     """
     if cutoff is None:
         cutoff = model.default_cutoff()
@@ -962,9 +974,9 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
     n, degrees = model.torus_rank, model.degrees()
     dims = [0] * (cutoff + 2)
     for deg in degrees:
-        for j in range((cutoff + 1 - deg) // 2 + 1 if deg >= 0 else 0):
+        for j in range(-(deg // 2) if deg < 0 else 0, (cutoff + 1 - deg) // 2 + 1):
             dims[deg + 2 * j] += _monomial_count(n, j)
-    last = min(cutoff, max(degrees, default=-1)) if n == 1 else cutoff
+    last = min(cutoff, max([0] + degrees)) if n == 1 else cutoff
     # per source generator: the terms (variable index or None for d, h, entry)
     # that land in the next slice
     terms: List[list] = [[] for _ in degrees]
@@ -972,17 +984,18 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
         for h, entry in column.items():
             for exps, value in entry.terms.items():
                 shift = exps.index(1) if any(exps) else None
-                if degrees[h] == degrees[g] + (1 if shift is None else -1) >= 0:
+                if degrees[h] == degrees[g] + (1 if shift is None else -1):
                     terms[g].append((shift, h, value))
     active = [
-        [g for g in block if terms[g] and 0 <= degrees[g] <= last]
+        [g for g in block if terms[g] and degrees[g] <= last]
         for block in model._blocks
     ]
     blocks = [block for block in active if block]
     top = max(((last - degrees[g]) // 2 for block in blocks for g in block), default=-1)
     monomials = _monomials_by_degree(n, top)
-    ranks = []
-    for k in range(last + 1):
+    first = -1 if degrees and min(degrees) < 0 else 0
+    ranks = [0] * (first + 1)  # ranks[k + 1]: the rank of d_T out of slice k
+    for k in range(first, last + 1):
         rank = 0
         for block in blocks:
             rows = []
@@ -1003,8 +1016,8 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
                 rank += _echelon(rows, len(columns), None).rank
         ranks.append(rank)
     for k in range(last + 1, cutoff + 1):  # rank 1 only: the period
-        ranks.append(ranks[k - 2] if k >= 2 else 0)
-    table = [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(cutoff + 1)]
+        ranks.append(ranks[k - 1])  # the rank out of slice k - 2
+    table = [dims[k] - ranks[k + 1] - ranks[k] for k in range(cutoff + 1)]
     if any(v < 0 for v in table):
         raise AssertionError("negative Hilbert entry; model invalid")
     return table
@@ -1030,24 +1043,21 @@ class FreeComparison:
 
 def underlying_cohomology_dims(model: InvariantModel) -> List[int]:
     """Dims of the ordinary cohomology of (C, d) per degree 0..top_degree,
-    the rank of d in each degree read from the columns of d."""
+    the rank of d out of each degree (from -1 if a generator has degree -1)
+    read from the columns of d."""
     degrees = model.degrees()
     top = max([model.top_degree] + degrees)
-    by_degree = {k: [i for i, d in enumerate(degrees) if d == k] for k in range(top + 2)}
+    by_degree = {k: [i for i, d in enumerate(degrees) if d == k] for k in range(-1, top + 2)}
     d = model._operator_columns[0]
-    ranks = {}
-    for k in range(top + 1):
+    ranks = {-1: 0}
+    for k in range(-1 if -1 in degrees else 0, top + 1):
         position = {h: i for i, h in enumerate(by_degree[k + 1])}
         rows = [
             {position[h]: value for h, value in d[g].items() if h in position}
             for g in by_degree[k]
         ]
         ranks[k] = _echelon(rows, len(position), None).rank
-    dims = []
-    for k in range(top + 1):
-        incoming = ranks.get(k - 1, 0)
-        dims.append(len(by_degree[k]) - ranks[k] - incoming)
-    return dims
+    return [len(by_degree[k]) - ranks[k] - ranks[k - 1] for k in range(top + 1)]
 
 
 def predict_free_hilbert(

@@ -12,13 +12,8 @@ solved as X = P_target^-1 * F^t * P_source and re-verified entry by entry
 against integrals of products computed independently of the solver (from
 each model's integration form).
 
-One MapAnalysis per map carries this flow: it holds a ModelAnalysis of the
-source and of the target (the same object for an endomorphism), so each
-model's generic cohomology, pairing and inverse pairing are computed once,
-and the pullback F and the verified Gysin matrix once per map.
-``pullback_cohomology``, ``gysin_localized``, ``adjunction_residuals`` and
-``projection_formula_check`` each build a fresh analysis; nothing is kept
-between calls.
+Each map holds one MapAnalysis, which reads the analyses its two models
+hold, so each part of the flow is computed once per model or per map.
 
 Thom extension turns a closed top form into an equivariant cocycle by
 solving one rational linear system per polynomial step; when a contraction
@@ -40,7 +35,7 @@ from .algebra import (
     RationalFunction,
     matmul,
 )
-from .duality import DecompositionError, ModelAnalysis, integrate_product
+from .duality import DecompositionError, integrate_product
 from .euler import FixedPointDatum
 from .gcomplex import (
     EquivariantElement,
@@ -85,8 +80,8 @@ class ModelMap:
     of target generator t; the matrix has degree 0 and commutes with d and
     with every contraction (checked by validate_map).  The library reads
     the dense matrix once, into ``_pullback_columns`` (per target generator
-    t, the nonzero entries {s: value}, s ascending), built on first use and
-    kept.
+    t, the nonzero entries {s: value}, s ascending); it and ``_analysis``
+    (a MapAnalysis) are built on first use and kept.
     """
 
     name: str
@@ -111,6 +106,10 @@ class ModelMap:
     @cached_property
     def _pullback_columns(self) -> Tuple[Dict[int, Fraction], ...]:
         return _sparse_columns(self.pullback, len(self.target.generators))
+
+    @cached_property
+    def _analysis(self) -> "MapAnalysis":
+        return MapAnalysis(self)
 
 
 def identity_map(model: InvariantModel) -> ModelMap:
@@ -381,16 +380,14 @@ def _gysin_image(
 
 class MapAnalysis:
     """What the pipeline derives from one map, each part computed on first
-    use and then held: the analyses of source and target (one shared object
-    when they are the same model), the pullback on cohomology and the
-    verified Gysin matrix.  Like ModelAnalysis it is local to its caller."""
+    use and then held: the pullback on cohomology and the verified Gysin
+    matrix, from the analyses its source and target hold.  Each map holds
+    one (``ModelMap._analysis``); a refusal is never held."""
 
     def __init__(self, f: ModelMap):
         self.map = f
-        self.source = ModelAnalysis(f.source)
-        self.target = (
-            self.source if f.target is f.source else ModelAnalysis(f.target)
-        )
+        self.source = f.source._analysis
+        self.target = f.target._analysis
 
     @cached_property
     def pullback(self) -> MatrixF:
@@ -542,12 +539,12 @@ class MapAnalysis:
 def pullback_cohomology(f: ModelMap) -> MatrixF:
     """The matrix of f* between generic cohomology bases (see
     MapAnalysis.pullback)."""
-    return MapAnalysis(f).pullback
+    return f._analysis.pullback
 
 
 def gysin_localized(f: ModelMap) -> GysinMatrix:
     """The verified Gysin matrix of f (see MapAnalysis.gysin)."""
-    return MapAnalysis(f).gysin
+    return f._analysis.gysin
 
 
 def adjunction_residuals(
@@ -555,7 +552,7 @@ def adjunction_residuals(
 ) -> List[Tuple[int, int, RationalFunction]]:
     """The adjunction residual of every basis pair (see
     MapAnalysis.residuals)."""
-    return MapAnalysis(f).residuals(gysin)
+    return f._analysis.residuals(gysin)
 
 
 def projection_formula_check(
@@ -563,7 +560,7 @@ def projection_formula_check(
 ) -> ProjectionFormulaReport:
     """The projection-formula report of f (see
     MapAnalysis.projection_formula)."""
-    return MapAnalysis(f).projection_formula(samples)
+    return f._analysis.projection_formula(samples)
 
 
 # -- Thom extension -----------------------------------------------------------

@@ -305,7 +305,7 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
         (nonzero entries, rows ascending)."""
         columns = []
         for g in range(na):
-            sign = (-1) ** a.generators[g].degree
+            sign = (-1) ** (a.generators[g].degree % 2)
             for l in range(nb):
                 col: Dict[int, Fraction] = {}
                 for h, value in ma[g].items():
@@ -351,7 +351,7 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
             if left > right:
                 continue
             outer = sign1 * sign2 * (-1) ** (
-                b.generators[p2].degree * a.generators[q1].degree
+                b.generators[p2].degree * a.generators[q1].degree % 2
             )
             value: Dict[int, Fraction] = {}
             for k1, v1 in row1.items():

@@ -339,6 +339,28 @@ def test_graded_swap_sign_for_odd_generators():
     assert element_product(model, y, x) == element(model, {"a.a": -1})
 
 
+def test_signs_stay_exact_with_a_negative_degree():
+    # (-1) ** k is a float for k < 0: no graded sign may carry one
+    zero = tuple((Fraction(0),) * 3 for _ in range(3))
+    model = InvariantModel(
+        name="e.a",
+        torus_rank=1,
+        generators=(Generator("one", 0), Generator("e", -1), Generator("a", 1)),
+        d=zero,
+        contractions=(zero,),
+        top_degree=1,
+        product_table={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}},
+    )
+    assert validate_model(model).ok
+    e, a = element(model, {"e": 1}), element(model, {"a": 1})
+    assert element_product(model, a, e) == element(model, {"one": -1})
+    product = tensor_product(model, circle_free())
+    entries = [v for row in product.product_table.values() for v in row.values()]
+    entries += [v for op in product._operator_columns for col in op for v in col.values()]
+    assert not any(isinstance(v, float) for v in entries)
+    assert cohomology_hilbert(product, 6) == _brute_force_hilbert(product, 6)
+
+
 def test_volume_square_is_exact():
     model = s2_rotation()
     w = named_cocycle_element(model, "w")
@@ -361,8 +383,10 @@ def test_evaluate_at_fixed_points():
 
 def _brute_force_hilbert(model, cutoff):
     """Independent enumeration: assemble the degree-k slices of the Cartan
-    complex from scratch and take ranks over Q."""
+    complex from scratch, from slice -1 (into slice 0) on, and take ranks
+    over Q."""
     n = model.torus_rank
+    low = min([0] + model.degrees())
 
     def monomials_of(j):
         if n == 0:
@@ -381,7 +405,7 @@ def _brute_force_hilbert(model, cutoff):
 
     def basis(k):
         out = []
-        for j in range(k // 2 + 1):
+        for j in range((k - low) // 2 + 1):
             for exps in monomials_of(j):
                 for idx, gen in enumerate(model.generators):
                     if gen.degree == k - 2 * j:
@@ -407,7 +431,8 @@ def _brute_force_hilbert(model, cutoff):
         return rows, len(cols_basis)
 
     dims = []
-    previous_rank = 0
+    rows, dim = matrix(-1)
+    previous_rank = rank_rational(rows) if rows and dim else 0
     for k in range(cutoff + 1):
         rows, dim = matrix(k)
         rank = rank_rational(rows) if rows and dim else 0
@@ -436,11 +461,51 @@ def _with_negative_degree():
     )
 
 
+def _negative_pair(torus_rank: int = 1, scale: int = 1, degree: int = -1) -> InvariantModel:
+    """e -> f with |e| = degree < 0, |f| = degree + 1, d(e) = scale * f
+    and every c_i zero: valid, and acyclic unless scale is 0."""
+    zero = ((Fraction(0),) * 2,) * 2
+    return InvariantModel(
+        name=f"e{degree}->{scale}f",
+        torus_rank=torus_rank,
+        generators=(Generator("e", degree), Generator("f", degree + 1)),
+        d=(zero[0], (Fraction(scale), Fraction(0))),
+        contractions=(zero,) * torus_rank,
+        top_degree=0,
+    )
+
+
+def test_the_enumeration_counts_slice_minus_one():
+    # the oracle itself: d(e) = f kills f in degree 0, and u^j e in degree
+    # 2j - 1 is a class exactly when d(e) = 0
+    assert _brute_force_hilbert(_negative_pair(), 4) == [0] * 5
+    assert _brute_force_hilbert(_negative_pair(scale=0), 4) == [1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_negative_pair(), _negative_pair(degree=-2),
+     tensor_product(s2_rotation(), _negative_pair()),
+     tensor_product(_negative_pair(2), builtin("c_alpha(1,0;0,1)"))],
+    ids=lambda m: m.name,
+)
+def test_an_acyclic_model_with_negative_degrees_has_zero_tables(model):
+    assert validate_model(model).ok
+    cutoff = model.default_cutoff()
+    assert cohomology_hilbert(model, cutoff) == [0] * (cutoff + 1)
+    assert underlying_cohomology_dims(model) == [0] * (model.top_degree + 1)
+    free = predict_free_hilbert(model)
+    assert free.matches and set(free.predicted) == {0}
+    assert cohomology_generic(model).total_rank == 0
+
+
 @pytest.mark.parametrize(
     "model",
     [point(1), circle_free(), circle_trivial(1), s2_rotation(), builtin("rema_adj"),
      builtin("obstruction_pair"), builtin("c_alpha(2)"),
-     tensor_product(circle_trivial(1), s2_rotation()), _with_negative_degree()],
+     tensor_product(circle_trivial(1), s2_rotation()), _with_negative_degree(),
+     tensor_product(s2_rotation(), _negative_pair(scale=0)),
+     tensor_product(_negative_pair(scale=2), circle_free())],
     ids=lambda m: m.name,
 )
 def test_hilbert_table_matches_independent_enumeration(model):
@@ -460,14 +525,17 @@ FACTORS_BY_RANK = {
 
 @st.composite
 def derived_models(draw):
-    """A builtin or a product of two, restricted to a torus of rank 0, 1 or
-    2, contractions possibly rescaled; points and trivial circles bring
-    inert generators, and so do zero restriction columns."""
+    """A builtin or a product of two, possibly times a pair e -> f in
+    degrees -1 and 0, restricted to a torus of rank 0, 1 or 2, contractions
+    possibly rescaled; points and trivial circles bring inert generators,
+    and so do zero restriction columns."""
     n = draw(st.sampled_from(sorted(FACTORS_BY_RANK)))
     names = draw(st.lists(st.sampled_from(FACTORS_BY_RANK[n]), min_size=1, max_size=2))
     model = builtin(names[0])
     for name in names[1:]:
         model = tensor_product(model, builtin(name))
+    if draw(st.booleans()):
+        model = tensor_product(model, _negative_pair(n, draw(st.integers(0, 2))))
     r = draw(st.integers(0, 2))
     if r != n or draw(st.booleans()):
         weights = [[draw(st.integers(-2, 2)) for _ in range(r)] for _ in range(n)]
@@ -925,6 +993,17 @@ def test_named_cocycles_must_be_independent_to_be_used():
     # the dependent named set is rejected; computed representatives appear
     assert (generic.even_rank, generic.odd_rank) == (2, 0)
     assert generic.names() != ["one", "also_one"]
+
+
+def test_an_element_cannot_be_changed():
+    rep = cohomology_generic(s2_rotation()).elements()[0]
+    before = str(rep)
+    with pytest.raises(TypeError):
+        rep.terms[0] = Polynomial.one(1)
+    for name in ("terms", "model", "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rep, name, {})
+    assert str(rep) == before
 
 
 def test_underlying_dims():

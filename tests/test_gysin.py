@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import re
 from fractions import Fraction
 
 import pytest
 
-from equicart import cli, gcomplex
-from equicart.algebra import Polynomial, RationalFunction
-from equicart.duality import duality_check, pairing_matrix
+from equicart import cli, duality, gcomplex
+from equicart.algebra import Polynomial, RationalFunction, UnsupportedRankError
+from equicart.duality import (
+    NonCompactModelError,
+    classify_rank1,
+    duality_check,
+    pairing_matrix,
+    presentation_from_model,
+)
 from equicart.gcomplex import (
     cartan_differential,
     cohomology_generic,
@@ -44,6 +51,7 @@ from equicart.models import (
     builtin_maps,
     circle_free,
     circle_trivial,
+    point,
     s2_chain,
     s2_rotation,
     tensor_product,
@@ -342,7 +350,7 @@ def test_projection_formula_report_text():
     assert "all zero" in str(report)
 
 
-# -- one analysis per call ------------------------------------------------------------
+# -- one analysis per model and per map -----------------------------------------------
 
 
 def _run_cli_quietly(argv):
@@ -350,7 +358,7 @@ def _run_cli_quietly(argv):
         assert cli.run(argv) == 0
 
 
-# cohomology_generic runs once per distinct model a call touches
+# the generic elimination runs once per distinct model a call touches
 ONE_ANALYSIS_CALLS = {
     "gysin of the identity": (lambda: gysin_localized(identity_map(s2_rotation())), 1),
     "gysin of an inclusion": (lambda: gysin_localized(builtin_map("s2_north_inclusion")), 2),
@@ -363,9 +371,63 @@ ONE_ANALYSIS_CALLS = {
 @pytest.mark.parametrize("label", sorted(ONE_ANALYSIS_CALLS))
 def test_each_model_cohomology_is_computed_once_per_call(count_calls, label):
     call, expected = ONE_ANALYSIS_CALLS[label]
-    calls = count_calls(gcomplex.cohomology_generic)
+    calls = count_calls(gcomplex._cohomology_generic)
     call()
     assert len(calls) == expected
+
+
+def _six_queries(model):
+    return (
+        cohomology_generic(model),
+        pairing_matrix(model),
+        duality_check(model),
+        classify_rank1(model),
+        gysin_localized(identity_map(model)),
+        projection_formula_check(identity_map(model)),
+    )
+
+
+def test_a_model_is_analysed_once_across_calls(count_calls):
+    generic = count_calls(gcomplex._cohomology_generic)
+    presented = count_calls(duality._presentation)
+    model = s2_rotation()
+    first = _six_queries(model)
+    again = _six_queries(model)
+    assert (len(generic), len(presented)) == (1, 1)
+    # the held parts themselves are handed out again; each identity map is
+    # a new map, so its Gysin matrix is recomputed, from the held analyses
+    assert all(a is b for a, b in zip(first[:4], again[:4]))
+    assert presentation_from_model(model) is presentation_from_model(model)
+    assert first[4] == again[4] and str(first[5]) == str(again[5])
+    f = identity_map(model)
+    assert gysin_localized(f) is gysin_localized(f)
+    assert f._analysis.source is f._analysis.target is model._analysis
+
+
+def test_a_replaced_model_is_analysed_afresh(count_calls):
+    calls = count_calls(gcomplex._cohomology_generic)
+    model = s2_rotation()
+    cohomology_generic(model)
+    copy = dataclasses.replace(model, name="copy")
+    assert cohomology_generic(copy) is not cohomology_generic(model)
+    assert len(calls) == 2
+
+
+def test_a_refusal_is_raised_on_every_call(count_calls):
+    generic = count_calls(gcomplex._cohomology_generic)
+    presented = count_calls(duality._presentation)
+    open_sphere = dataclasses.replace(s2_rotation(), compact=False, integration={})
+    for _ in range(2):
+        with pytest.raises(NonCompactModelError):
+            pairing_matrix(open_sphere)
+        with pytest.raises(NonCompactModelError):
+            duality_check(open_sphere)
+    assert len(generic) == 1  # the cohomology the pairing needs is held
+    rank2 = point(2)
+    for _ in range(2):
+        with pytest.raises(UnsupportedRankError):
+            classify_rank1(rank2)
+    assert len(presented) == 2
 
 
 # -- Thom-style extensions ------------------------------------------------------------
