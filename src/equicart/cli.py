@@ -9,11 +9,6 @@ internal consistency checks; "internal error: ..." on standard error).
 Output formats: `--format text` (default, human-readable) and `--format
 json` (stable schema, sorted keys, two-space indent, one trailing newline —
 identical invocations produce byte-identical output).
-
-SUBCOMMAND_OPERATIONS documents which public library operation each
-subcommand exposes; the test suite checks the table against the package
-surface in both directions (every operation reachable from exactly one
-subcommand).
 """
 
 from __future__ import annotations
@@ -44,36 +39,6 @@ TORSION_GYSIN_NOTE = (
     "is zero-dimensional, and no integral Gysin morphism is determined by "
     "the adjunction; refusing to print a misleading zero map"
 )
-
-# one entry per public operation; each appears under exactly one subcommand
-SUBCOMMAND_OPERATIONS: Dict[str, Tuple[str, ...]] = {
-    "validate": ("models.builtin", "models.load_model", "gcomplex.validate_model"),
-    "cohomology": (
-        "gcomplex.cohomology_hilbert",
-        "gcomplex.cohomology_generic",
-        "gcomplex.predict_free_hilbert",
-        "algebra.rank_and_solve",
-    ),
-    "classify": (
-        "duality.classify_rank1",
-        "duality.ext_rank1",
-        "algebra.smith_normal_form",
-        "algebra.generic_specialized_rank",
-    ),
-    "pairing": ("duality.integrate", "duality.pairing_matrix"),
-    "duality": ("duality.duality_check", "duality.is_torsion"),
-    "gysin": (
-        "gysin.validate_map",
-        "gysin.pullback_cohomology",
-        "gysin.gysin_localized",
-        "gysin.projection_formula_check",
-    ),
-    "thom": ("gysin.thom_extend", "gcomplex.cartan_differential"),
-    "euler": ("euler.euler_linear", "euler.nested_euler_check"),
-    "localize": ("euler.localize_integral", "euler.localization_consistency"),
-    "lefschetz": ("euler.lefschetz_number",),
-    "restrict": ("gysin.restrict_subtorus", "models.save_model"),
-}
 
 
 class UsageError(ValueError):

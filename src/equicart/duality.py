@@ -6,12 +6,14 @@ fraction field exactly when its rank equals the generic Betti total.  Each
 model holds the integral of every stored product of two generators (its
 integration form), so an integral of a product is a sum over the two
 supports and the product itself is never built.  At torus rank 1 the
-coefficient ring is a graded principal ideal domain, so equivariant
-cohomology decomposes exactly into a free part and monomial torsion blocks,
-computed by Smith normal form one d_T block and parity at a time, and then
-one connected component of the relation matrix at a time; the dual-module
-ranks come from the same data (Ext of a torsion block against the ring is
-the block again, with a degree twist).
+coefficient ring is a graded principal ideal domain and every entry of d_T
+is a monomial c * u^k, so equivariant cohomology decomposes exactly into a
+free part and torsion blocks Q[u]/(u^k), read off one d_T block at a time by
+a column reduction with Q coefficients alone (``_graded_pairs``, as in
+persistent homology); a presented module is classified by the same
+reduction of its relation columns.  The dual-module ranks come from the
+same data (Ext of a torsion block against the ring is the block again, with
+a degree twist).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     UnsupportedRankError,
-    smith_normal_form,
 )
 from .gcomplex import (
     EquivariantElement,
@@ -35,7 +36,6 @@ from .gcomplex import (
     InvariantModel,
     MissingProductError,
     _cohomology_generic,
-    _component_roots,
     _same_model,
     element_product,
 )
@@ -157,11 +157,11 @@ class DualityReport:
 class ModelAnalysis:
     """What the pipeline derives from one model, each part computed on first
     use and then held: generic cohomology, the pairing on its basis, the
-    duality report, the inverse pairing, and the rank-1 presentation and
-    classification.  Each model holds one (``InvariantModel._analysis``),
-    which every public entry point reads; a refusal is never held.  The
-    rank in the report and the inverse come from one elimination of
-    [pairing | identity].
+    duality report, the inverse pairing, and the rank-1 classification and
+    the minimal presentation it implies.  Each model holds one
+    (``InvariantModel._analysis``), which every public entry point reads; a
+    refusal is never held.  The rank in the report and the inverse come
+    from one elimination of [pairing | identity].
     """
 
     def __init__(self, model: InvariantModel):
@@ -221,12 +221,12 @@ class ModelAnalysis:
         return tuple(zip(*columns))  # rows
 
     @cached_property
-    def presentation(self) -> ModulePresentation:
-        return _presentation(self.model)
+    def classification(self) -> ModuleClassification:
+        return _classification(self.model)
 
     @cached_property
-    def classification(self) -> ModuleClassification:
-        return classify_presentation(self.presentation)
+    def presentation(self) -> ModulePresentation:
+        return _minimal_presentation(self.classification)
 
 
 def duality_check(model: InvariantModel) -> DualityReport:
@@ -354,222 +354,140 @@ class ModuleClassification:
         return " + ".join(parts) if parts else "zero module"
 
 
-def _column_degree(
-    column: Sequence[Polynomial], generator_degrees: Sequence[int], what: str
-) -> int:
-    """Common total degree of a homogeneous column vector."""
-    degs = set()
-    for i, entry in enumerate(column):
-        if entry.is_zero:
-            continue
-        if not entry.is_homogeneous():
-            raise AssertionError(f"{what}: non-homogeneous entry {entry}")
-        degs.add(2 * entry.degree() + generator_degrees[i])
-    if len(degs) > 1:
-        raise AssertionError(f"{what}: mixed total degrees {sorted(degs)}")
-    return degs.pop() if degs else 0
-
-
-def _kernel_basis_graded(
-    matrix: List[List[Polynomial]], cols: int
-) -> List[List[Polynomial]]:
-    """Module basis of ker over Q[u]: the Smith-form V-columns past the rank."""
-    if cols == 0:
-        return []
-    if not matrix:
-        return [
-            [Polynomial.one(1) if i == j else Polynomial.zero(1) for i in range(cols)]
-            for j in range(cols)
-        ]
-    _, d, v = smith_normal_form(matrix)
-    rank = sum(
-        1
-        for i in range(min(len(d), cols))
-        if not d[i][i].is_zero
-    )
-    return [[v[i][j] for i in range(cols)] for j in range(rank, cols)]
-
-
-def _solve_in_basis(
-    basis: List[List[Polynomial]], targets: List[List[Polynomial]], length: int
-) -> List[List[Polynomial]]:
-    """Coordinates of each target (a vector of the given length) in a
-    free-module basis; exact, must land in the polynomial ring."""
-    echelon = Echelon(len(basis), torus_rank=1, nrhs=len(targets))
-    for i in range(length):
-        echelon.add_row([b[i] for b in basis] + [t[i] for t in targets])
-    out = []
-    for solution in echelon.solve():
-        if solution is None:
-            raise AssertionError("vector does not lie in the span of the basis")
-        if not all(value.is_polynomial for value in solution):
-            raise AssertionError("non-polynomial coordinate in a module basis")
-        out.append([value.as_polynomial() for value in solution])
-    return out
-
-
-def _parity_presentation(
-    model: InvariantModel, indices: List[int], others: List[int]
-) -> Tuple[List[int], List[List[Polynomial]]]:
-    """Generators (kernel of d_T out of the span of ``indices``) and
-    relations (the image of d_T from the span of ``others``) of one parity
-    of one block, as a graded presentation; ``others`` are the block's
-    generators of the other parity."""
-    table, zero = model._cartan_table, Polynomial.zero(1)
-    gen_degrees = [model.generators[g].degree for g in indices]
-    outgoing = [[table[g].get(h, zero) for g in indices] for h in others]
-    kernel = _kernel_basis_graded(outgoing, len(indices))
-    degrees = [
-        _column_degree(col, gen_degrees, f"kernel column {j}")
-        for j, col in enumerate(kernel)
-    ]
-    targets = [[table[h].get(g, zero) for g in indices] for h in others]
-    targets = [t for t in targets if not all(entry.is_zero for entry in t)]
-    relations: List[List[Polynomial]] = [[] for _ in kernel]
-    for coords in _solve_in_basis(kernel, targets, len(indices)):
-        for row, value in zip(relations, coords):
-            row.append(value)
-    return degrees, relations
-
-
 def presentation_from_model(model: InvariantModel) -> ModulePresentation:
-    """Graded presentation of H_T(model) over Q[u] (torus rank 1 only; see
-    ModelAnalysis.presentation)."""
+    """The minimal graded presentation of H_T(model) over Q[u] (torus rank 1
+    only; see ModelAnalysis.presentation)."""
     return model._analysis.presentation
 
 
-def _presentation(model: InvariantModel) -> ModulePresentation:
-    """The computation behind ``presentation_from_model``.
+def _graded_pairs(
+    columns: Sequence[Tuple[int, Dict[int, Fraction]]], row_degrees: Sequence[int]
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """Column reduction of a homogeneous matrix over Q[u] with Q coefficients
+    alone (Zomorodian and Carlsson, Computing persistent homology, 2005).
 
-    H_T is the direct sum over the model's blocks (``_blocks``) and the two
-    parities, so each parity of each block is presented on its own: its
-    generators are a kernel basis of d_T out of it, its relations express
-    the image of d_T from the block's other parity in that basis.  The
-    relation matrix is block diagonal: every even piece, block by block,
-    then every odd one.
+    Column j is (degree_j, {row r: c}), standing for the entries c *
+    u^((degree_j - row_degrees[r]) / 2), so u^m times a column is the same
+    dictionary.  Columns are taken in (degree, index) order; a column's
+    pivot is its row of largest (degree, index), its entry of least power
+    of u, and an earlier column with the same pivot clears it.  Returns the
+    (pivot row, column) pairs and the columns that reduce to zero.  The
+    pivots are distinct, so the cokernel is Q[u]/(u^k) on each pivot row r
+    of a column j, k = (degree_j - row_degrees[r]) / 2, plus a free summand
+    on every other row.
     """
+    by_pivot: Dict[int, Dict[int, Fraction]] = {}
+    pairs: List[Tuple[int, int]] = []
+    zeros: List[int] = []
+    for j in sorted(range(len(columns)), key=lambda j: (columns[j][0], j)):
+        column = dict(columns[j][1])
+        while column:
+            pivot = max(column, key=lambda r: (row_degrees[r], r))
+            earlier = by_pivot.get(pivot)
+            if earlier is None:
+                by_pivot[pivot] = column
+                pairs.append((pivot, j))
+                break
+            factor = Fraction(column[pivot], earlier[pivot])  # entries may be ints
+            for r, value in earlier.items():
+                entry = column.get(r, 0) - factor * value
+                if entry:
+                    column[r] = entry
+                else:
+                    del column[r]
+        else:
+            zeros.append(j)
+    return pairs, zeros
+
+
+def _decomposition(
+    free_degrees: List[int], torsion: List[Tuple[int, int]]
+) -> ModuleClassification:
+    """The classification with these free degrees and a summand Q[u]/(u^k)
+    from degree b per (k, b) in ``torsion`` with k > 0 (k = 0 cancels): free
+    degrees sorted, torsion ordered by (k, b)."""
+    torsion = sorted(summand for summand in torsion if summand[0])
+    return ModuleClassification(
+        free_rank=len(free_degrees),
+        free_degrees=tuple(sorted(free_degrees)),
+        divisors=tuple(Polynomial.monomial(1, [k]) for k, _ in torsion),
+        torsion_degrees=tuple(degree for _, degree in torsion),
+    )
+
+
+def _classification(model: InvariantModel) -> ModuleClassification:
+    """The computation behind ``classify_rank1``: d_T reduced by
+    ``_graded_pairs`` one block (``_blocks``) at a time, H_T being the direct
+    sum of the blocks' cohomologies.  Column g has degree |g| + 1 and holds
+    d[h][g] on each h of degree |g| + 1 and c[h][g] (times u) on each h of
+    degree |g| - 1, read from ``_operator_columns``; an entry anywhere else
+    would make d_T's entry no monomial of that degree.  A pair (h, g) is
+    Q[u]/(u^k) from degree |h|, k = (|g| + 1 - |h|) / 2, which cancels when
+    k = 0; a column that reduces to zero and is no pair's row is a free
+    summand in degree |g|."""
     if model.torus_rank != 1:
         raise UnsupportedRankError(
             "module decomposition requires torus rank 1, got rank "
             f"{model.torus_rank}"
         )
-    degrees = model.degrees()
-    parts = [
-        [[g for g in block if degrees[g] % 2 == p] for p in (0, 1)]
-        for block in model._blocks
-    ]
-    pieces = [
-        _parity_presentation(model, pair[p], pair[1 - p])
-        for p in (0, 1)
-        for pair in parts
-        if pair[p]
-    ]
-    width = sum(len(relations[0]) for _, relations in pieces if relations)
+    degrees, operators = model.degrees(), model._operator_columns
+    free: List[int] = []
+    torsion: List[Tuple[int, int]] = []
+    for block in model._blocks:
+        columns = []
+        for g in block:
+            column: Dict[int, Fraction] = {}
+            for operator, shift in zip(operators, (1, -1)):
+                for h, value in operator[g].items():
+                    if degrees[h] != degrees[g] + shift:
+                        raise AssertionError(
+                            f"d_T of {model.generators[g].name}: the entry at "
+                            f"{model.generators[h].name} is not a monomial of "
+                            f"degree {degrees[g] + 1}"
+                        )
+                    column[h] = value
+            columns.append((degrees[g] + 1, column))
+        pairs, zeros = _graded_pairs(columns, degrees)
+        torsion.extend(((columns[j][0] - degrees[h]) // 2, degrees[h]) for h, j in pairs)
+        rows = {h for h, _ in pairs}
+        free.extend(degrees[block[j]] for j in zeros if block[j] not in rows)
+    return _decomposition(free, torsion)
+
+
+def _minimal_presentation(c: ModuleClassification) -> ModulePresentation:
+    """One generator per summand of the classification, free ones first, and
+    one relation u^k per torsion summand."""
+    degrees = c.free_degrees + c.torsion_degrees
     zero = Polynomial.zero(1)
-    generator_degrees: List[int] = []
-    rows: List[Tuple[Polynomial, ...]] = []
-    offset = 0
-    for piece_degrees, relations in pieces:
-        generator_degrees.extend(piece_degrees)
-        cols = len(relations[0]) if relations else 0
-        for row in relations:
-            rows.append((zero,) * offset + tuple(row) + (zero,) * (width - offset - cols))
-        offset += cols
-    return ModulePresentation(
-        torus_rank=1,
-        generator_degrees=tuple(generator_degrees),
-        relations=tuple(rows),
+    relations = tuple(
+        tuple(divisor if i == c.free_rank + j else zero for j, divisor in enumerate(c.divisors))
+        for i in range(len(degrees))
     )
-
-
-def _inverse_unimodular(u: List[List[Polynomial]]) -> List[List[Polynomial]]:
-    size = len(u)
-    echelon = Echelon(size, torus_rank=1, nrhs=size)
-    for i, row in enumerate(u):
-        echelon.add_row(list(row) + [int(i == j) for j in range(size)])
-    columns = echelon.solve()
-    if any(column is None for column in columns):
-        raise AssertionError("unimodular matrix failed to invert")
-    if not all(value.is_polynomial for column in columns for value in column):
-        raise AssertionError("inverse of a unimodular matrix not polynomial")
-    return [[columns[j][i].as_polynomial() for j in range(size)] for i in range(size)]
-
-
-def _relation_components(p: ModulePresentation) -> List[Tuple[List[int], List[int]]]:
-    """The connected components of the relation matrix's nonzero pattern:
-    (generator rows, relation columns) per component, both ascending.  A
-    generator in no relation is a component with no columns; a zero
-    relation is in none."""
-    s = len(p.generator_degrees)
-    support = [
-        [i for i in range(s) if not p.relations[i][j].is_zero]
-        for j in range(p.relation_count)
-    ]
-    roots = _component_roots(s, support)
-    components: Dict[int, Tuple[List[int], List[int]]] = {}
-    for i, root in enumerate(roots):
-        components.setdefault(root, ([], []))[0].append(i)
-    for j, rows in enumerate(support):
-        if rows:
-            components[roots[rows[0]]][1].append(j)
-    return list(components.values())
-
-
-def _classify_component(
-    relations: List[List[Polynomial]], generator_degrees: List[int]
-) -> Tuple[List[int], List[Tuple[Polynomial, int]]]:
-    """Free generator degrees and (divisor, generator degree) torsion blocks
-    of one presented module: Smith normal form of the relation matrix, unit
-    factors cancel generators, nonunit factors are the torsion divisors, the
-    rest is free; degrees are read off the transformed generator basis."""
-    s = len(generator_degrees)
-    u, d, _ = smith_normal_form(relations)
-    u_inv = _inverse_unimodular(u)
-    factors = [d[i][i] for i in range(min(s, len(relations[0]))) if not d[i][i].is_zero]
-    basis_degree = [
-        _column_degree(
-            [u_inv[i][j] for i in range(s)],
-            generator_degrees,
-            f"transformed generator {j}",
-        )
-        for j in range(s)
-    ]
-    torsion = [
-        (factor, basis_degree[i])
-        for i, factor in enumerate(factors)
-        if factor.degree() > 0
-    ]
-    return basis_degree[len(factors):], torsion
+    return ModulePresentation(torus_rank=1, generator_degrees=degrees, relations=relations)
 
 
 def classify_presentation(p: ModulePresentation) -> ModuleClassification:
-    """Exact decomposition of a presented module, one connected component of
-    the relation matrix's nonzero pattern at a time (the module is their
-    direct sum): each component with relations is classified by its own
-    Smith normal form.  Every divisor of a homogeneous presentation is a
-    power of u, so the merged blocks form the decomposition of the whole:
-    free degrees sorted, torsion ordered by (divisor degree, generator
-    degree)."""
+    """Exact decomposition of a presented module: ``_graded_pairs`` on its
+    relation columns.  A pair (generator i, relation j) is Q[u]/(u^k) from
+    the degree of i, with k the power of u in the pivot entry, and cancels
+    generator i when k = 0; a generator that is no pair's row is free."""
     if p.torus_rank != 1:
         raise UnsupportedRankError("classification requires torus rank 1")
-    free_degrees: List[int] = []
-    torsion: List[Tuple[Polynomial, int]] = []
-    for rows, cols in _relation_components(p):
-        degrees = [p.generator_degrees[i] for i in rows]
-        if not cols:
-            free_degrees.extend(degrees)
-            continue
-        free, blocks = _classify_component(
-            [[p.relations[i][j] for j in cols] for i in rows], degrees
-        )
-        free_degrees.extend(free)
-        torsion.extend(blocks)
-    torsion.sort(key=lambda block: (block[0].degree(), block[1]))
-    return ModuleClassification(
-        free_rank=len(free_degrees),
-        free_degrees=tuple(sorted(free_degrees)),
-        divisors=tuple(divisor for divisor, _ in torsion),
-        torsion_degrees=tuple(degree for _, degree in torsion),
+    degrees = p.generator_degrees
+    columns = []
+    for j in range(p.relation_count):
+        column: Dict[int, Fraction] = {}
+        degree = 0
+        for i, row in enumerate(p.relations):
+            # a nonzero homogeneous entry over Q[u] is one term c * u^e
+            for (e,), c in row[j].terms.items():
+                column[i], degree = c, degrees[i] + 2 * e
+        columns.append((degree, column))
+    pairs, _ = _graded_pairs(columns, degrees)
+    rows = {i for i, _ in pairs}
+    return _decomposition(
+        [b for i, b in enumerate(degrees) if i not in rows],
+        [((columns[j][0] - degrees[i]) // 2, degrees[i]) for i, j in pairs],
     )
 
 

@@ -1041,41 +1041,47 @@ class FreeComparison:
         return "not even-concentrated / torsion present"
 
 
-def underlying_cohomology_dims(model: InvariantModel) -> List[int]:
-    """Dims of the ordinary cohomology of (C, d) per degree 0..top_degree,
-    the rank of d out of each degree (from -1 if a generator has degree -1)
-    read from the columns of d."""
+def _underlying_dims(model: InvariantModel) -> Tuple[int, List[int]]:
+    """(low, dims): the dims of the ordinary cohomology of (C, d) per degree
+    low..top, low the lowest generator degree or 0, whichever is smaller;
+    the rank of d out of each degree is read from the columns of d."""
     degrees = model.degrees()
-    top = max([model.top_degree] + degrees)
-    by_degree = {k: [i for i, d in enumerate(degrees) if d == k] for k in range(-1, top + 2)}
+    low, top = min([0] + degrees), max([model.top_degree] + degrees)
+    by_degree = {k: [i for i, d in enumerate(degrees) if d == k] for k in range(low, top + 2)}
     d = model._operator_columns[0]
-    ranks = {-1: 0}
-    for k in range(-1 if -1 in degrees else 0, top + 1):
+    ranks = {low - 1: 0}
+    for k in range(low, top + 1):
         position = {h: i for i, h in enumerate(by_degree[k + 1])}
         rows = [
             {position[h]: value for h, value in d[g].items() if h in position}
             for g in by_degree[k]
         ]
         ranks[k] = _echelon(rows, len(position), None).rank
-    return [len(by_degree[k]) - ranks[k] - ranks[k - 1] for k in range(top + 1)]
+    return low, [len(by_degree[k]) - ranks[k] - ranks[k - 1] for k in range(low, top + 1)]
+
+
+def underlying_cohomology_dims(model: InvariantModel) -> List[int]:
+    """Dims of the ordinary cohomology of (C, d) per degree 0..top_degree."""
+    low, dims = _underlying_dims(model)
+    return dims[-low:]
 
 
 def predict_free_hilbert(
     model: InvariantModel, cutoff: Optional[int] = None
 ) -> FreeComparison:
-    """Convolve h(C) with the Hilbert function of S(t) and compare against
-    the actual table; a mismatch is reported as a flag, never an error."""
+    """Convolve h(C), from its lowest degree, with the Hilbert function of
+    S(t) and compare against the actual table; a mismatch is reported as a
+    flag, never an error."""
     if cutoff is None:
         cutoff = model.default_cutoff()
-    h_c = underlying_cohomology_dims(model)
+    low, h_c = _underlying_dims(model)
     n = model.torus_rank
     predicted = []
     for k in range(cutoff + 1):
         total = 0
-        for j in range(k // 2 + 1):
-            deg = k - 2 * j
-            if deg < len(h_c):
-                total += _monomial_count(n, j) * h_c[deg]
+        for deg in range(k, low - 1, -2):
+            if deg - low < len(h_c):
+                total += _monomial_count(n, (k - deg) // 2) * h_c[deg - low]
         predicted.append(total)
     actual = cohomology_hilbert(model, cutoff)
     return FreeComparison(predicted=tuple(predicted), actual=tuple(actual))

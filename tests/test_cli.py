@@ -12,7 +12,7 @@ import pytest
 import equicart
 from equicart import cli
 from equicart.algebra import Polynomial
-from equicart.cli import SUBCOMMAND_OPERATIONS, TORSION_GYSIN_NOTE, run
+from equicart.cli import TORSION_GYSIN_NOTE, run
 from equicart.gcomplex import InvariantModel, Generator
 from equicart.gysin import identity_map
 from equicart.models import builtin, load_model, save_model
@@ -130,10 +130,10 @@ def test_an_untyped_library_fault_is_an_internal_error(capsys, monkeypatch):
 
 def test_a_failed_internal_check_is_an_internal_error(capsys, monkeypatch):
     # the module classification signals its internal faults by AssertionError
-    def fault(u):
+    def fault(columns, row_degrees):
         raise AssertionError("unimodular matrix failed to invert")
 
-    monkeypatch.setattr(equicart.duality, "_inverse_unimodular", fault)
+    monkeypatch.setattr(equicart.duality, "_graded_pairs", fault)
     code, out, err = invoke(capsys, "classify", "--model", "builtin:circle_free")
     assert (code, out, err) == (
         3, "", "internal error: unimodular matrix failed to invert\n"
@@ -334,7 +334,7 @@ def test_classify_matrix_rejects_a_zero_denominator(capsys):
 @pytest.mark.parametrize(
     "argv, counted",
     [
-        (["classify", "--model", "builtin:s2_rotation"], "duality.classify_presentation"),
+        (["classify", "--model", "builtin:s2_rotation"], "duality._classification"),
         (["classify", "--matrix", "u,0;0,u"], "algebra.smith_normal_form"),
     ],
 )
@@ -687,15 +687,6 @@ PUBLIC_OPERATIONS = {
 }
 
 
-def test_every_public_operation_is_reachable_from_exactly_one_subcommand():
-    seen = {}
-    for subcommand, operations in SUBCOMMAND_OPERATIONS.items():
-        for op in operations:
-            assert op not in seen, f"{op} owned by {seen[op]} and {subcommand}"
-            seen[op] = subcommand
-    assert set(seen) == PUBLIC_OPERATIONS
-
-
 def test_advertised_operations_resolve_to_callables():
     import importlib
 
@@ -703,11 +694,6 @@ def test_advertised_operations_resolve_to_callables():
         module_name, _, attr = op.partition(".")
         module = importlib.import_module(f"equicart.{module_name}")
         assert callable(getattr(module, attr)), op
-
-
-def test_subcommand_table_matches_the_parser():
-    parser_commands = set(cli._HANDLERS)
-    assert set(SUBCOMMAND_OPERATIONS) == parser_commands
 
 
 def test_package_exposes_run():

@@ -1,20 +1,29 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from equicart.algebra import Polynomial, RationalFunction, UnsupportedRankError
+from equicart.algebra import (
+    Echelon,
+    Polynomial,
+    RationalFunction,
+    UnsupportedRankError,
+    invariant_factors,
+    rank_rational,
+)
 from equicart.duality import (
     DecompositionError,
     ModelAnalysis,
     ModuleClassification,
     ModulePresentation,
     NonCompactModelError,
-    _classify_component,
+    _graded_pairs,
     classify_presentation,
     classify_rank1,
     duality_check,
@@ -26,11 +35,14 @@ from equicart.duality import (
     presentation_from_model,
 )
 from equicart.gcomplex import (
+    Generator,
+    InvariantModel,
     MissingProductError,
     cohomology_generic,
     cohomology_hilbert,
     element,
     element_product,
+    validate_model,
 )
 from equicart.gysin import restrict_subtorus
 from equicart.models import (
@@ -459,16 +471,187 @@ def test_a_block_diagonal_presentation_classifies_as_one_matrix():
             (zero, zero, zero),
         ),
     )
-    free, torsion = _classify_component(
-        [list(row) for row in p.relations], list(p.generator_degrees)
-    )
-    torsion.sort(key=lambda block: (block[0].degree(), block[1]))
-    whole = ModuleClassification(
-        len(free), tuple(sorted(free)),
-        tuple(d for d, _ in torsion), tuple(b for _, b in torsion),
-    )
-    assert classify_presentation(p) == whole
+    whole = classify_presentation(p)
+    factors = invariant_factors([list(row) for row in p.relations])
+    assert [f.degree() for f in factors if f.degree() > 0] == [1, 2]
     assert str(whole) == (
         "free rank 2 in degrees [0, 1] + torsion Q[u]/(u) from degree 2"
         " + torsion Q[u]/(u^2) from degree 4"
     )
+
+
+# -- the graded column reduction against independent oracles -------------------------
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "fixtures" / "rank1_classifications.json").read_text(encoding="utf-8")
+)
+
+
+def _record(c):
+    ext = c.dual
+    return {
+        "classification": str(c),
+        "dual": {"ext0": str(ext.ext0), "ext1": [[str(p), twist] for p, twist in ext.ext1]},
+    }
+
+
+@pytest.mark.parametrize("model", _rank_one_models(), ids=lambda m: m.name)
+def test_classification_matches_the_recorded_golden_file(model):
+    c = classify_rank1(model)
+    assert _record(c) == GOLDEN[model.name]
+    assert ext_rank1(presentation_from_model(model)) == c.dual
+
+
+def test_the_golden_file_covers_every_rank_one_model():
+    assert sorted(GOLDEN) == sorted(m.name for m in _rank_one_models())
+
+
+@pytest.mark.parametrize("model", _rank_one_models()[::6], ids=lambda m: m.name)
+def test_the_model_presentation_is_minimal(model):
+    c = classify_rank1(model)
+    p = presentation_from_model(model)
+    assert p.generator_degrees == c.free_degrees + c.torsion_degrees
+    assert p.relation_count == len(c.divisors)
+    assert classify_presentation(p) == c
+
+
+@st.composite
+def presentations(draw):
+    """A homogeneous presentation over Q[u]: one to five generators in
+    degrees -2..4 and up to five relations of total degree -2..10, each entry
+    c * u^k present at random where the degrees allow it, so k reaches 6."""
+    degrees = draw(st.lists(st.integers(-2, 4), min_size=1, max_size=5))
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        total = draw(st.integers(-2, 10))
+        columns.append([
+            Polynomial.monomial(1, [(total - b) // 2], draw(st.integers(-3, 3)))
+            if total >= b and (total - b) % 2 == 0 and draw(st.booleans())
+            else Polynomial.zero(1)
+            for b in degrees
+        ])
+    relations = tuple(tuple(column[i] for column in columns) for i in range(len(degrees)))
+    return ModulePresentation(1, tuple(degrees), relations)
+
+
+def _cokernel_dims(p, cutoff):
+    """dim over Q of the presented module in each degree 0..cutoff: the
+    monomials u^m * e_i of that degree less the Q-rank of the multiples of
+    the relations that land there."""
+    s, dims = len(p.generator_degrees), []
+    for k in range(cutoff + 1):
+        basis = {
+            (i, (k - b) // 2): n
+            for n, (i, b) in enumerate(
+                (i, b) for i, b in enumerate(p.generator_degrees) if k >= b and (k - b) % 2 == 0
+            )
+        }
+        rows = []
+        for j in range(p.relation_count):
+            row = [Fraction(0)] * len(basis)
+            for i in range(s):
+                for (e,), c in p.relations[i][j].terms.items():
+                    # u^m times this entry lands on u^(e + m) e_i in degree k
+                    twice_m = k - p.generator_degrees[i] - 2 * e
+                    if twice_m >= 0 and twice_m % 2 == 0:
+                        row[basis[i, e + twice_m // 2]] = c
+            rows.append(row)
+        dims.append(len(basis) - (rank_rational(rows) if rows and basis else 0))
+    return dims
+
+
+def test_presentation_classification_agrees_with_independent_oracles():
+    powers = []
+
+    @seed(20261019)
+    @settings(max_examples=150)
+    @given(presentations())
+    def check(p):
+        c = classify_presentation(p)
+        matrix = [list(row) for row in p.relations]
+        factors = invariant_factors(matrix) if p.relation_count else []
+        assert sorted(d.degree() for d in c.divisors) == sorted(
+            f.degree() for f in factors if f.degree() > 0
+        )
+        assert all(d == Polynomial.monomial(1, [d.degree()]) for d in c.divisors)
+        echelon = Echelon(p.relation_count, torus_rank=1)
+        for row in matrix:
+            echelon.add_row(row)
+        assert c.free_rank == len(p.generator_degrees) - echelon.rank
+        assert c.implied_hilbert(12) == _cokernel_dims(p, 12)
+        powers.extend(d.degree() for d in c.divisors)
+
+    check()
+    # the draws reach torsion u^k with k >= 2
+    assert max(powers) >= 3 and sum(k >= 2 for k in powers) >= 20
+
+
+def _hopf_s3():
+    """S^3 under the free Hopf circle action: one, theta, omega and
+    theta_omega in degrees 0..3, d(theta) = omega, c(theta) = one and
+    c(theta_omega) = omega, so H_T = Q[u]/(u^2)."""
+
+    def matrix(entries):
+        return tuple(tuple(Fraction(entries.get((h, g), 0)) for g in range(4)) for h in range(4))
+
+    products = {(0, g): {g: Fraction(1)} for g in range(4)}
+    # theta * omega = theta_omega; every other product of two positive-degree
+    # generators is zero
+    products.update({(i, j): {} for i in range(1, 4) for j in range(i, 4)})
+    products[1, 2] = {3: Fraction(1)}
+    return InvariantModel(
+        name="hopf_s3",
+        torus_rank=1,
+        generators=tuple(
+            Generator(name, k) for k, name in enumerate(("one", "theta", "omega", "theta_omega"))
+        ),
+        d=matrix({(2, 1): 1}),
+        contractions=(matrix({(0, 1): 1, (2, 3): 1}),),
+        top_degree=3,
+        compact=True,
+        integration={3: Fraction(1)},
+        product_table=products,
+    )
+
+
+@pytest.mark.parametrize(
+    "model, summary",
+    [
+        (_hopf_s3(), "torsion Q[u]/(u^2) from degree 0"),
+        (tensor_product(_hopf_s3(), s2_rotation()),
+         "torsion Q[u]/(u^2) from degree 0 + torsion Q[u]/(u^2) from degree 2"),
+        (tensor_product(_hopf_s3(), _hopf_s3()),
+         "torsion Q[u]/(u^2) from degree 0 + torsion Q[u]/(u^2) from degree 3"),
+        (tensor_product(_hopf_s3(), circle_free()),
+         "torsion Q[u]/(u) from degree 0 + torsion Q[u]/(u) from degree 3"),
+    ],
+    ids=lambda x: getattr(x, "name", None),
+)
+def test_the_hopf_sphere_classifies_with_torsion_u_squared(model, summary):
+    assert validate_model(model).ok
+    c = classify_rank1(model)
+    assert str(c) == summary
+    cutoff = model.default_cutoff()
+    assert c.implied_hilbert(cutoff) == cohomology_hilbert(model, cutoff)
+    assert c.free_rank == cohomology_generic(model).total_rank == 0
+    assert ext_rank1(presentation_from_model(model)) == c.dual
+
+
+def test_the_reduction_stays_exact_on_int_entries():
+    # a model's d and c_i may hold ints; int / int is a float, and in float
+    # arithmetic the last column of this matrix never reduces to zero
+    columns = [
+        (0, {0: 5, 1: 2, 2: 9}), (0, {0: 6, 1: 9, 2: 4}),
+        (0, {0: 9, 1: 5, 2: 8}), (0, {0: 2, 1: 7, 2: 6}),
+    ]
+    assert _graded_pairs(columns, [0, 0, 0]) == ([(2, 0), (1, 1), (0, 2)], [3])
+
+
+def test_a_non_monomial_cartan_entry_is_an_internal_fault():
+    # d and c both reach one from theta: d_T(theta) = 1 + u is no monomial
+    hopf = _hopf_s3()
+    d = [list(row) for row in hopf.d]
+    d[0][1] = Fraction(1)
+    broken = dataclasses.replace(hopf, d=tuple(map(tuple, d)))
+    with pytest.raises(AssertionError, match="not a monomial"):
+        classify_rank1(broken)

@@ -31,6 +31,7 @@ from equicart.gcomplex import (
     validate_model,
 )
 from equicart import algebra, gysin
+from equicart.duality import classify_rank1
 from equicart.euler import LinearRepresentation
 from equicart.gysin import MapIssue, identity_map, restrict_map, restrict_subtorus, validate_map
 from equicart.models import (
@@ -500,6 +501,24 @@ def test_an_acyclic_model_with_negative_degrees_has_zero_tables(model):
 
 
 @pytest.mark.parametrize(
+    "model, predicted",
+    [(_negative_pair(scale=0), (1,) * 7),
+     (_negative_pair(scale=0, degree=-2), (1,) * 7),
+     (tensor_product(s2_rotation(), _negative_pair(scale=0)), (1, 2, 2, 2, 2, 2, 2))],
+    ids=lambda m: getattr(m, "name", None),
+)
+def test_the_free_prediction_counts_classes_in_negative_degrees(model, predicted):
+    # H_T is free on H(C), whose classes in negative degrees reach degrees
+    # >= 0 through powers of u
+    assert validate_model(model).ok
+    free = predict_free_hilbert(model, 6)
+    assert free.predicted == free.actual == predicted
+    assert free.matches and free.flag is None
+    assert tuple(_brute_force_hilbert(model, 6)) == predicted
+    assert len(underlying_cohomology_dims(model)) == max(model.degrees() + [model.top_degree]) + 1
+
+
+@pytest.mark.parametrize(
     "model",
     [point(1), circle_free(), circle_trivial(1), s2_rotation(), builtin("rema_adj"),
      builtin("obstruction_pair"), builtin("c_alpha(2)"),
@@ -552,6 +571,17 @@ def derived_models(draw):
 def test_hilbert_table_matches_enumeration_on_derived_models(case):
     model, cutoff = case
     assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
+
+
+@seed(20261019)
+@settings(max_examples=40)
+@given(derived_models().filter(lambda case: case[0].torus_rank == 1))
+def test_rank_one_classification_agrees_with_the_engines_on_derived_models(case):
+    model, _ = case
+    c = classify_rank1(model)
+    cutoff = model.default_cutoff()
+    assert c.implied_hilbert(cutoff) == cohomology_hilbert(model, cutoff)
+    assert c.free_rank == cohomology_generic(model).total_rank
 
 
 def _dense_product(a, b):

@@ -389,11 +389,11 @@ def _six_queries(model):
 
 def test_a_model_is_analysed_once_across_calls(count_calls):
     generic = count_calls(gcomplex._cohomology_generic)
-    presented = count_calls(duality._presentation)
+    classified = count_calls(duality._classification)
     model = s2_rotation()
     first = _six_queries(model)
     again = _six_queries(model)
-    assert (len(generic), len(presented)) == (1, 1)
+    assert (len(generic), len(classified)) == (1, 1)
     # the held parts themselves are handed out again; each identity map is
     # a new map, so its Gysin matrix is recomputed, from the held analyses
     assert all(a is b for a, b in zip(first[:4], again[:4]))
@@ -415,7 +415,7 @@ def test_a_replaced_model_is_analysed_afresh(count_calls):
 
 def test_a_refusal_is_raised_on_every_call(count_calls):
     generic = count_calls(gcomplex._cohomology_generic)
-    presented = count_calls(duality._presentation)
+    classified = count_calls(duality._classification)
     open_sphere = dataclasses.replace(s2_rotation(), compact=False, integration={})
     for _ in range(2):
         with pytest.raises(NonCompactModelError):
@@ -427,7 +427,7 @@ def test_a_refusal_is_raised_on_every_call(count_calls):
     for _ in range(2):
         with pytest.raises(UnsupportedRankError):
             classify_rank1(rank2)
-    assert len(presented) == 2
+    assert len(classified) == 2
 
 
 # -- Thom-style extensions ------------------------------------------------------------
