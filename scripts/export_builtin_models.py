@@ -13,12 +13,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from equicart import models  # noqa: E402
 
 
-def main() -> None:
-    out_dir = os.path.join(os.path.dirname(__file__), "..", "modelfiles")
-    os.makedirs(out_dir, exist_ok=True)
-
+def export(out_dir: str) -> None:
+    """Write the four example model files into out_dir."""
     sphere = models.s2_rotation()
-    maps = models.builtin_maps()
     models.save_model(
         sphere,
         os.path.join(out_dir, "s2_rotation.json"),
@@ -38,6 +35,12 @@ def main() -> None:
         os.path.join(out_dir, "point_with_s2_maps.json"),
         maps={"north": chain.north, "south": chain.south},
     )
+
+
+def main() -> None:
+    out_dir = os.path.join(os.path.dirname(__file__), "..", "modelfiles")
+    os.makedirs(out_dir, exist_ok=True)
+    export(out_dir)
     for name in sorted(os.listdir(out_dir)):
         if name.endswith(".json"):
             loaded = models.load_model_file(os.path.join(out_dir, name))

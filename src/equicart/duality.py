@@ -420,7 +420,7 @@ def _classification(model: InvariantModel) -> ModuleClassification:
     ``_graded_pairs`` one block (``_blocks``) at a time, H_T being the direct
     sum of the blocks' cohomologies.  Column g has degree |g| + 1 and holds
     d[h][g] on each h of degree |g| + 1 and c[h][g] (times u) on each h of
-    degree |g| - 1, read from ``_operator_columns``; an entry anywhere else
+    degree |g| - 1, read from the columns of d and c; an entry anywhere else
     would make d_T's entry no monomial of that degree.  A pair (h, g) is
     Q[u]/(u^k) from degree |h|, k = (|g| + 1 - |h|) / 2, which cancels when
     k = 0; a column that reduces to zero and is no pair's row is a free
@@ -430,7 +430,7 @@ def _classification(model: InvariantModel) -> ModuleClassification:
             "module decomposition requires torus rank 1, got rank "
             f"{model.torus_rank}"
         )
-    degrees, operators = model.degrees(), model._operator_columns
+    degrees, operators = model.degrees(), (model.d, *model.contractions)
     free: List[int] = []
     torsion: List[Tuple[int, int]] = []
     for block in model._blocks:

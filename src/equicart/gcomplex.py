@@ -11,17 +11,16 @@ and its cohomology is computed two ways: exactly degree by degree over Q
 (Hilbert table), and generically over the fraction field, where the grading
 collapses to parity because the degree-2 variables become invertible.
 
-Every whole-matrix read goes through one sparse view per model, built the
-first time anything asks for it and kept on the (immutable) model: d and
-each c_i by their columns, per generator g the nonzero entries {h: value},
-h ascending.  It is the one scan of the dense matrices.  From it come:
+A model stores d and each c_i in one form, by their sparse columns: per
+generator g the nonzero entries {h: value} of column g, h ascending, each
+column read-only.  Every reader works on them:
 
-- the table of d_T, per generator g the nonzero entries
-  h -> d[h][g] + sum_i u_i c_i[h][g]; ``cartan_differential`` applies it in
-  one pass, the generic engine feeds its entries between the two parities
-  of each block to the eliminations column by column (image) or transposed
-  (kernel), and the Hilbert engine splits each entry back into its d and
-  c_i terms;
+- d_T: column g of d_T holds h -> d[h][g] + sum_i u_i c_i[h][g]
+  (``_cartan_column`` builds these Q[u] entries for the columns a caller
+  needs); ``cartan_differential`` applies it to an element's support, the
+  generic engine feeds its entries between the two parities of each block
+  to the eliminations column by column (image) or transposed (kernel), and
+  the Hilbert engine reads the d and c_i terms straight from the columns;
 - validation: degree checks walk the nonzero entries, and each operator
   identity composes columns (column g of A o B is the sum of B[k][g] times
   column k of A over the nonzero entries of B's column g), so a check costs
@@ -48,8 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress
-from math import comb
+from itertools import chain
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -58,6 +57,7 @@ from .algebra import (
     Echelon,
     Polynomial,
     RationalFunction,
+    _poly,
 )
 from .euler import FixedPointDatum
 
@@ -92,25 +92,28 @@ class Generator:
 class InvariantModel:
     """A finite invariant model; immutable after construction.
 
-    Matrix convention: d[h][g] is the coefficient of generator h in d(g), and
-    likewise for each contraction.  The product table is stored on canonical
-    index pairs (i, j) with i <= j; the swapped product carries the graded
-    sign (-1)^{|i||j|}.  Integration assigns a rational to every generator of
-    degree top_degree when the model is compact.
+    d and each contraction are given by their columns, one per generator:
+    d[g] is the mapping {h: coefficient of generator h in d(g)} (an int or a
+    Fraction), and likewise for each contraction.  The constructor refuses a
+    wrong column count, a row out of range or another entry type with a
+    ModelStructureError, and stores each column read-only, zeros dropped and
+    rows ascending, so ``==`` compares the operators' values.  The product
+    table is stored on canonical index pairs (i, j) with i <= j; the swapped
+    product carries the graded sign (-1)^{|i||j|}.  Integration assigns a
+    rational to every generator of degree top_degree when the model is
+    compact.
 
-    A model is immutable after construction, so every view and analysis
-    derived from it is computed on first use and stored on the instance:
-    ``_operator_columns`` (d and each c_i by sparse columns, the one read of
-    the dense matrices), ``_cartan_table`` (d_T), ``_blocks``,
-    ``_integration_form`` and ``_analysis`` (duality.ModelAnalysis).  A
-    refusal is not stored; ``dataclasses.replace`` makes a new model.
+    Every view and analysis derived from the model is computed on first use
+    and stored on the instance: ``_blocks``, ``_integration_form`` and
+    ``_analysis`` (duality.ModelAnalysis).  A refusal is not stored;
+    ``dataclasses.replace`` makes a new model.
     """
 
     name: str
     torus_rank: int
     generators: Tuple[Generator, ...]
-    d: Tuple[Tuple[Fraction, ...], ...]
-    contractions: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+    d: Columns
+    contractions: Tuple[Columns, ...]
     top_degree: int
     compact: bool = False
     integration: Mapping[int, Fraction] = field(default_factory=dict)
@@ -125,20 +128,23 @@ class InvariantModel:
 
     def __post_init__(self):
         g = len(self.generators)
-        if len(self.d) != g or any(len(row) != g for row in self.d):
+        where = f"model {self.name!r}"
+        if self.torus_rank < 0:
             raise ModelStructureError(
-                f"model {self.name!r}: d must be {g}x{g}"
+                f"{where}: torus rank must be >= 0, got {self.torus_rank}"
             )
         if len(self.contractions) != self.torus_rank:
             raise ModelStructureError(
-                f"model {self.name!r}: expected {self.torus_rank} contraction "
+                f"{where}: expected {self.torus_rank} contraction "
                 f"matrices, got {len(self.contractions)}"
             )
-        for i, c in enumerate(self.contractions):
-            if len(c) != g or any(len(row) != g for row in c):
-                raise ModelStructureError(
-                    f"model {self.name!r}: contraction {i + 1} must be {g}x{g}"
-                )
+        object.__setattr__(
+            self, "d", _stored_columns(self.d, g, g, f"{where}: d", ModelStructureError)
+        )
+        object.__setattr__(self, "contractions", tuple(
+            _stored_columns(c, g, g, f"{where}: c_{i + 1}", ModelStructureError)
+            for i, c in enumerate(self.contractions)
+        ))
         for key in self.integration:
             if not 0 <= key < g:
                 raise ModelStructureError(
@@ -174,55 +180,18 @@ class InvariantModel:
         return 2 * self.top_degree + 2 * self.torus_rank + 4
 
     @cached_property
-    def _operator_columns(self) -> Tuple[Tuple[Dict[int, Fraction], ...], ...]:
-        """(d, c_1, ..., c_n), each by its columns: per generator g, the
-        nonzero entries {h: value} of column g, h ascending.  An entry that
-        is not an int or a Fraction is a ModelStructureError."""
-        size = len(self.generators)
-        labels = ["d"] + [f"c_{i + 1}" for i in range(self.torus_rank)]
-        operators = (self.d,) + self.contractions
-        for label, matrix in zip(labels, operators):
-            for h, row in enumerate(matrix):
-                if not _ENTRY_TYPES.issuperset(map(type, row)):
-                    g, value = next(
-                        (g, v) for g, v in enumerate(row) if type(v) not in _ENTRY_TYPES
-                    )
-                    raise ModelStructureError(
-                        f"model {self.name!r}: {label} entry at row {h}, column {g} "
-                        f"is {value!r} ({type(value).__name__}), not an int or a Fraction"
-                    )
-        return tuple(_sparse_columns(matrix, size) for matrix in operators)
-
-    @cached_property
-    def _cartan_table(self) -> Tuple[Dict[int, Polynomial], ...]:
-        """Per generator g, d_T(1 tensor g) as {h: d[h][g] + sum_i u_i
-        c_i[h][g]} over its nonzero entries, h ascending, read from
-        ``_operator_columns``; entries of the wrong degree or parity are
-        kept, each engine filters its own."""
-        n = self.torus_rank
-        units = [(0,) * n] + [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        table = []
-        for g in range(len(self.generators)):
-            column: Dict[int, dict] = {}
-            for exps, operator in zip(units, self._operator_columns):
-                for h, value in operator[g].items():
-                    column.setdefault(h, {})[exps] = value
-            table.append({h: Polynomial(n, column[h]) for h in sorted(column)})
-        return tuple(table)
-
-    @cached_property
     def _blocks(self) -> Tuple[Tuple[int, ...], ...]:
         """The generators split into the connected components of d_T's
-        nonzero pattern, read from ``_operator_columns``: every nonzero
-        entry of d or a c_i joins its row and its column, wrong-degree
-        entries included, so each block is stable under d and every c_i.
+        nonzero pattern: every nonzero entry of d or a c_i joins its row and
+        its column, wrong-degree entries included, so each block is stable
+        under d and every c_i.
         The support of each named cocycle is joined too, so every named
         cocycle lies in one block.  Blocks are ordered by their smallest
         generator, each ascending.  C is the direct sum of its blocks as a
         complex, and H_T the direct sum of their cohomologies."""
         entries = (
             (g, h)
-            for operator in self._operator_columns
+            for operator in (self.d, *self.contractions)
             for g, column in enumerate(operator)
             for h in column
         )
@@ -285,25 +254,61 @@ def _component_roots(count: int, links: Iterable[Sequence[int]]) -> List[int]:
     return [find(x) for x in range(count)]
 
 
-def _sparse_columns(matrix, width: int) -> Tuple[Dict[int, Fraction], ...]:
-    """The columns of a dense matrix with ``width`` columns: per column g,
-    {h: value} over its nonzero entries, h ascending."""
-    columns: List[Dict[int, Fraction]] = [{} for _ in range(width)]
-    positions = range(width)
-    for h, row in enumerate(matrix):
-        for g in compress(positions, row):
-            columns[g][h] = row[g]
-    return tuple(columns)
+def _stored_columns(
+    columns, height: int, width: int, where: str, error: type
+) -> Tuple[Mapping[int, Fraction], ...]:
+    """A height x width matrix, given as a tuple or list of columns {row:
+    entry}, in its stored form: per column, a read-only {row: entry} over the
+    nonzero entries, rows ascending.  A wrong column count, a column that is
+    not a mapping, a row that is not an int in range(height) and an entry
+    that is not an int or a Fraction are each an ``error``."""
+    if type(columns) not in (tuple, list) or len(columns) != width:
+        raise error(f"{where} must be a tuple of {width} columns")
+    stored = []
+    for g, column in enumerate(columns):
+        if not isinstance(column, Mapping):
+            raise error(
+                f"{where}: column {g} is a {type(column).__name__}, "
+                "not a mapping {row: entry}"
+            )
+        for h, value in column.items():
+            if type(h) is not int or not 0 <= h < height:
+                raise error(f"{where}: row {h!r} of column {g} is not in range({height})")
+            if type(value) not in _ENTRY_TYPES:
+                raise error(
+                    f"{where} entry at row {h}, column {g} is {value!r} "
+                    f"({type(value).__name__}), not an int or a Fraction"
+                )
+        stored.append(MappingProxyType({h: column[h] for h in sorted(column) if column[h]}))
+    return tuple(stored)
 
 
-def _matrix(
-    rows: int, entries: Mapping[Tuple[int, int], Fraction], cols: Optional[int] = None
-):
-    """The dense rows x cols (square without cols) matrix of sparse entries."""
-    m = [[Fraction(0)] * (rows if cols is None else cols) for _ in range(rows)]
+def _columns(width: int, entries: Mapping[Tuple[int, int], Fraction]) -> List[dict]:
+    """The ``width`` columns of the matrix with these entries {(h, g):
+    value}: per column g, {h: value}."""
+    columns: List[dict] = [{} for _ in range(width)]
     for (h, g), v in entries.items():
-        m[h][g] = Fraction(v)
-    return tuple(tuple(row) for row in m)
+        columns[g][h] = Fraction(v)
+    return columns
+
+
+def _cartan_column(model: InvariantModel, g: int) -> Dict[int, Polynomial]:
+    """Column g of d_T over Q[u]: {h: d[h][g] + sum_i u_i c_i[h][g]} over its
+    nonzero entries, h ascending; entries of the wrong degree or parity are
+    kept, each caller filters its own."""
+    n = model.torus_rank
+    terms: Dict[int, dict] = {}
+    for i, operator in enumerate((model.d, *model.contractions)):
+        exps = tuple(int(j == i - 1) for j in range(n))
+        for h, value in operator[g].items():
+            terms.setdefault(h, {})[exps] = value
+    column = {}
+    for h in sorted(terms):
+        # over the lcm of the reduced denominators, the canonical pair
+        den = lcm(*[v.denominator for v in terms[h].values()])
+        num = {e: v.numerator * (den // v.denominator) for e, v in terms[h].items()}
+        column[h] = _poly(n, num, den)
+    return column
 
 
 @dataclass(frozen=True)
@@ -448,10 +453,10 @@ def cartan_differential(
     model: InvariantModel, x: EquivariantElement
 ) -> EquivariantElement:
     """d_T(P tensor g) = P tensor d(g) + sum_i (u_i P) tensor c_i(g), one
-    pass over the model's d_T table."""
+    pass over the columns of d_T on the support of x."""
     if x.model is not model:
         raise ValueError("element does not belong to the given model")
-    return apply_rational_matrix(model, model._cartan_table, x)
+    return apply_rational_matrix(model, {g: _cartan_column(model, g) for g in x.terms}, x)
 
 
 def graded_product(
@@ -586,7 +591,7 @@ def validate_model(model: InvariantModel) -> ValidationReport:
     gens = model.generators
     size = len(gens)
     degrees = model.degrees()
-    d, *contractions = model._operator_columns
+    d, contractions = model.d, model.contractions
 
     def check_degree_shift(columns, shift: int, label: str):
         # column by column: the issues of one generator's image stay together
@@ -758,9 +763,8 @@ def _parity_columns(
     position: entry}, positions ascending.  Entries into a generator of the
     source's own parity lie outside the 2-periodic complex and are dropped."""
     position = {h: k for k, h in enumerate(targets)}
-    table = model._cartan_table
     return [
-        {position[h]: entry for h, entry in table[g].items() if h in position}
+        {position[h]: entry for h, entry in _cartan_column(model, g).items() if h in position}
         for g in sources
     ]
 
@@ -956,11 +960,11 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
     dimension is counted, not enumerated.  The rank of d_T from slice k to
     slice k+1, from k = -1 when a generator has negative degree, is the sum
     of its ranks on the model's blocks (``_blocks``), each taken over the
-    rows of generators with a term only: an inert generator (an empty column
-    of the model's d_T table) spans part of the kernel, and a block without
-    a row in the slice builds nothing.  Each table entry splits into its d
-    term (the constant) and its c_i terms (the coefficients of u_i); a term
-    of the wrong degree has no target in the next slice and is dropped.
+    rows of generators with a term only: an inert generator (empty columns
+    of d and every c_i) spans part of the kernel, and a block without a row
+    in the slice builds nothing.  The terms are read from the columns of d
+    (the constant part of d_T) and of each c_i (the coefficient of u_i); a
+    term of the wrong degree has no target in the next slice and is dropped.
 
     At torus rank 1, multiplication by u maps slices k and k+1 onto slices
     k+2 and k+3 and commutes with d_T once no generator has degree k+2 or
@@ -978,16 +982,18 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
             dims[deg + 2 * j] += _monomial_count(n, j)
     last = min(cutoff, max([0] + degrees)) if n == 1 else cutoff
     # per source generator: the terms (variable index or None for d, h, entry)
-    # that land in the next slice
-    terms: List[list] = [[] for _ in degrees]
-    for g, column in enumerate(model._cartan_table):
-        for h, entry in column.items():
-            for exps, value in entry.terms.items():
-                shift = exps.index(1) if any(exps) else None
-                if degrees[h] == degrees[g] + (1 if shift is None else -1):
-                    terms[g].append((shift, h, value))
+    # that land in the next slice; a generator alone in its block has none,
+    # since an entry off the diagonal would join its row to the block
+    operators = (model.d, *model.contractions)
+    terms: Dict[int, list] = {}
+    for g in (g for block in model._blocks if len(block) > 1 for g in block):
+        found = terms[g] = []
+        for i, operator in enumerate(operators):
+            for h, value in operator[g].items():
+                if degrees[h] == degrees[g] + (-1 if i else 1):
+                    found.append((i - 1 if i else None, h, value))
     active = [
-        [g for g in block if terms[g] and degrees[g] <= last]
+        [g for g in block if terms.get(g) and degrees[g] <= last]
         for block in model._blocks
     ]
     blocks = [block for block in active if block]
@@ -1048,12 +1054,11 @@ def _underlying_dims(model: InvariantModel) -> Tuple[int, List[int]]:
     degrees = model.degrees()
     low, top = min([0] + degrees), max([model.top_degree] + degrees)
     by_degree = {k: [i for i, d in enumerate(degrees) if d == k] for k in range(low, top + 2)}
-    d = model._operator_columns[0]
     ranks = {low - 1: 0}
     for k in range(low, top + 1):
         position = {h: i for i, h in enumerate(by_degree[k + 1])}
         rows = [
-            {position[h]: value for h, value in d[g].items() if h in position}
+            {position[h]: value for h, value in model.d[g].items() if h in position}
             for g in by_degree[k]
         ]
         ranks[k] = _echelon(rows, len(position), None).rank
@@ -1097,11 +1102,8 @@ def scale_contractions(model: InvariantModel, factor: Fraction) -> InvariantMode
     if factor == 0:
         raise ValueError("scale factor must be nonzero")
     scaled = tuple(
-        _matrix(
-            len(model.generators),
-            {(h, g): v * factor for g, column in enumerate(c) for h, v in column.items()},
-        )
-        for c in model._operator_columns[1:]
+        tuple({h: v * factor for h, v in column.items()} for column in c)
+        for c in model.contractions
     )
     return replace(
         model,

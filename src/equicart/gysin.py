@@ -40,10 +40,11 @@ from .euler import FixedPointDatum
 from .gcomplex import (
     EquivariantElement,
     InvariantModel,
+    Columns,
+    _cartan_column,
     _component_roots,
     _composed_column,
-    _matrix,
-    _sparse_columns,
+    _stored_columns,
     apply_rational_matrix,
     cartan_differential,
     degree_violations,
@@ -76,18 +77,20 @@ class ObstructionError(RuntimeError):
 class ModelMap:
     """A map of spaces f: source -> target, stored through its pullback.
 
-    pullback[s][t] is the coefficient of source generator s in the pullback
-    of target generator t; the matrix has degree 0 and commutes with d and
-    with every contraction (checked by validate_map).  The library reads
-    the dense matrix once, into ``_pullback_columns`` (per target generator
-    t, the nonzero entries {s: value}, s ascending); it and ``_analysis``
-    (a MapAnalysis) are built on first use and kept.
+    The pullback is given by its columns, one per target generator:
+    pullback[t] is the mapping {s: coefficient of source generator s in the
+    pullback of target generator t} (an int or a Fraction).  It is stored
+    like a model's operators (read-only columns, zeros dropped, rows
+    ascending; a wrong shape or entry type is a MapStructureError); it has
+    degree 0 and commutes with d and with every contraction (checked by
+    validate_map).  ``_analysis`` (a MapAnalysis) is built on first use and
+    kept.
     """
 
     name: str
     source: InvariantModel
     target: InvariantModel
-    pullback: Tuple[Tuple[Fraction, ...], ...]
+    pullback: Columns
     proper: bool = True
 
     def __post_init__(self):
@@ -96,16 +99,10 @@ class ModelMap:
                 f"map {self.name!r}: source rank {self.source.torus_rank} != "
                 f"target rank {self.target.torus_rank}"
             )
-        s = len(self.source.generators)
-        t = len(self.target.generators)
-        if len(self.pullback) != s or any(len(row) != t for row in self.pullback):
-            raise MapStructureError(
-                f"map {self.name!r}: pullback matrix must be {s}x{t}"
-            )
-
-    @cached_property
-    def _pullback_columns(self) -> Tuple[Dict[int, Fraction], ...]:
-        return _sparse_columns(self.pullback, len(self.target.generators))
+        shape = (len(self.source.generators), len(self.target.generators))
+        where = f"map {self.name!r}: pullback"
+        pullback = _stored_columns(self.pullback, *shape, where, MapStructureError)
+        object.__setattr__(self, "pullback", pullback)
 
     @cached_property
     def _analysis(self) -> "MapAnalysis":
@@ -113,17 +110,12 @@ class ModelMap:
 
 
 def identity_map(model: InvariantModel) -> ModelMap:
-    size = len(model.generators)
-    one = Fraction(1)
-    f = ModelMap(
+    return ModelMap(
         name=f"identity:{model.name}",
         source=model,
         target=model,
-        pullback=_matrix(size, {(g, g): one for g in range(size)}),
+        pullback=tuple({g: Fraction(1)} for g in range(len(model.generators))),
     )
-    # the diagonal is the sparse view: no scan of the dense matrix needed
-    vars(f)["_pullback_columns"] = tuple({g: one} for g in range(size))
-    return f
 
 
 def compose_maps(second: ModelMap, first: ModelMap) -> ModelMap:
@@ -134,18 +126,14 @@ def compose_maps(second: ModelMap, first: ModelMap) -> ModelMap:
             f"cannot compose {second.name!r} after {first.name!r}: "
             "inner models differ"
         )
-    product = [(first._pullback_columns, second._pullback_columns, 1)]
-    width = len(second.target.generators)
-    entries = {
-        (s, t): value
-        for t in range(width)
-        for s, value in _composed_column(product, t).items()
-    }
+    product = [(first.pullback, second.pullback, 1)]
     return ModelMap(
         name=f"{second.name}*{first.name}",
         source=first.source,
         target=second.target,
-        pullback=_matrix(len(first.source.generators), entries, width),
+        pullback=tuple(
+            _composed_column(product, t) for t in range(len(second.target.generators))
+        ),
         proper=first.proper and second.proper,
     )
 
@@ -183,7 +171,7 @@ def validate_map(f: ModelMap) -> MapReport:
     of the pullback and of both models' operators."""
     issues: List[MapIssue] = []
     src, tgt = f.source, f.target
-    pullback = f._pullback_columns
+    pullback = f.pullback
     for s, t in sorted(degree_violations(pullback, src.degrees(), tgt.degrees())):
         issues.append(
             MapIssue(
@@ -198,7 +186,7 @@ def validate_map(f: ModelMap) -> MapReport:
 
     labels = ["d"] + [f"c_{i + 1}" for i in range(src.torus_rank)]
     for label, target_op, source_op in zip(
-        labels, tgt._operator_columns, src._operator_columns
+        labels, (tgt.d, *tgt.contractions), (src.d, *src.contractions)
     ):
         residuals = operator_residuals(
             src.generators, [(pullback, target_op, 1), (source_op, pullback, -1)]
@@ -218,7 +206,7 @@ def pullback_element(f: ModelMap, x: EquivariantElement) -> EquivariantElement:
     """Apply the pullback matrix S(t)-linearly to a target element."""
     if x.model is not f.target:
         raise ValueError("element does not live on the map's target")
-    return apply_rational_matrix(f.source, f._pullback_columns, x)
+    return apply_rational_matrix(f.source, f.pullback, x)
 
 
 def _parity_of(x: EquivariantElement) -> int:
@@ -291,14 +279,14 @@ def decompose_many(
     for k, b in enumerate(basis):
         if not b.is_zero:
             classes.setdefault((group[next(iter(b.terms))], _parity_of(b)), []).append(k)
-    degrees, table = model.degrees(), model._cartan_table
+    degrees = model.degrees()
     for (g_id, parity), positions in touched.items():
         rows = [g for g in members[g_id] if degrees[g] % 2 == parity]
         own = classes.get((g_id, parity), [])
         boundary = [
             column
             for column in (
-                {h: entry for h, entry in table[g].items() if degrees[h] % 2 == parity}
+                {h: e for h, e in _cartan_column(model, g).items() if degrees[h] % 2 == parity}
                 for g in members[g_id]
                 if degrees[g] % 2 != parity
             )
@@ -604,8 +592,7 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
         raise ThomInputError("phi_top must be homogeneous in generator degree")
     k = degrees.pop()
 
-    d, *contractions = model._operator_columns
-    if not apply_rational_matrix(model, d, phi_top).is_zero:
+    if not apply_rational_matrix(model, model.d, phi_top).is_zero:
         raise ThomInputError("phi_top is not d-closed")
 
     # components[j] maps exponent tuple (|a| = j) -> generator vector over Q
@@ -621,7 +608,7 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
                 bumped = tuple(e + 1 if v == i else e for v, e in enumerate(exps))
                 target = rhs.setdefault(bumped, {})
                 for g, value in vec.items():
-                    for h, entry in contractions[i][g].items():
+                    for h, entry in model.contractions[i][g].items():
                         target[h] = target.get(h, Fraction(0)) - entry * value
         rhs = {
             exps: {h: v for h, v in vec.items() if v != 0}
@@ -638,7 +625,7 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
         echelon = Echelon(len(domain), nrhs=len(items))
         for h in image_slice:
             echelon.add_row(
-                [model.d[h][g] for g in domain] + [vec.get(h, 0) for _, vec in items]
+                [model.d[g].get(h, 0) for g in domain] + [vec.get(h, 0) for _, vec in items]
             )
         solved: Dict[tuple, Dict[int, Fraction]] = {}
         for (exps, vec), solution in zip(items, echelon.solve()):
@@ -720,17 +707,15 @@ def restrict_subtorus(
         if len(row) != r:
             raise ValueError("ragged restriction matrix")
     a = _integer_rows(a)
-    size = len(model.generators)
-    contractions = model._operator_columns[1:]
     new_contractions = []
     for j in range(r):
-        entries: Dict[Tuple[int, int], Fraction] = {}
+        columns: List[Dict[int, Fraction]] = [{} for _ in model.generators]
         for i in range(n):
             if a[i][j]:
-                for g, column in enumerate(contractions[i]):
+                for g, column in enumerate(model.contractions[i]):
                     for h, value in column.items():
-                        entries[h, g] = entries.get((h, g), Fraction(0)) + a[i][j] * value
-        new_contractions.append(_matrix(size, entries))
+                        columns[g][h] = columns[g].get(h, Fraction(0)) + a[i][j] * value
+        new_contractions.append(columns)
 
     images = _substitution_images(a, r)
     named = {

@@ -24,7 +24,7 @@ from .gcomplex import (
     Generator,
     InvariantModel,
     ValidationReport,
-    _matrix,
+    _columns,
     graded_product,
     validate_model,
 )
@@ -40,10 +40,6 @@ class ModelFileError(ValueError):
 
 
 # -- small constructors --------------------------------------------------------
-
-
-def _zero_matrices(torus_rank: int, size: int):
-    return tuple(_matrix(size, {}) for _ in range(torus_rank))
 
 
 def _unit_products(size: int, unit: int = 0) -> Dict[Tuple[int, int], Dict[int, Fraction]]:
@@ -75,8 +71,8 @@ def point(torus_rank: int = 1) -> InvariantModel:
         name=f"point({torus_rank})",
         torus_rank=torus_rank,
         generators=(Generator("one", 0),),
-        d=_matrix(1, {}),
-        contractions=_zero_matrices(torus_rank, 1),
+        d=_columns(1, {}),
+        contractions=(_columns(1, {}),) * torus_rank,
         top_degree=0,
         compact=True,
         integration={0: Fraction(1)},
@@ -97,8 +93,8 @@ def circle_trivial(torus_rank: int = 1) -> InvariantModel:
         name=f"circle_trivial({torus_rank})",
         torus_rank=torus_rank,
         generators=(Generator("one", 0), Generator("a", 1)),
-        d=_matrix(2, {}),
-        contractions=_zero_matrices(torus_rank, 2),
+        d=_columns(2, {}),
+        contractions=(_columns(2, {}),) * torus_rank,
         top_degree=1,
         compact=True,
         integration={1: Fraction(1)},
@@ -122,8 +118,8 @@ def circle_free() -> InvariantModel:
         name="circle_free",
         torus_rank=1,
         generators=(Generator("one", 0), Generator("a", 1)),
-        d=_matrix(2, {}),
-        contractions=(_matrix(2, {(0, 1): 1}),),
+        d=_columns(2, {}),
+        contractions=(_columns(2, {(0, 1): 1}),),
         top_degree=1,
         compact=True,
         integration={1: Fraction(1)},
@@ -143,8 +139,8 @@ def rema_adj() -> InvariantModel:
         name="rema_adj",
         torus_rank=2,
         generators=(Generator("one", 0), Generator("a", 1)),
-        d=_matrix(2, {}),
-        contractions=(_matrix(2, {}), _matrix(2, {(0, 1): 1})),
+        d=_columns(2, {}),
+        contractions=(_columns(2, {}), _columns(2, {(0, 1): 1})),
         top_degree=1,
         compact=True,
         integration={1: Fraction(1)},
@@ -173,8 +169,8 @@ def s2_rotation() -> InvariantModel:
     one = Polynomial.one(1)
     names = ("one", "t", "q", "dt", "dq", "s", "vol", "tvol")
     degrees = (0, 0, 0, 1, 1, 1, 2, 2)
-    d = _matrix(8, {(3, 1): 1, (4, 2): 1, (7, 5): 1})
-    c = _matrix(8, {(2, 5): 1, (3, 6): -1, (4, 7): -1})
+    d = _columns(8, {(3, 1): 1, (4, 2): 1, (7, 5): 1})
+    c = _columns(8, {(2, 5): 1, (3, 6): -1, (4, 7): -1})
     products: Dict[Tuple[int, int], Dict[int, Fraction]] = _unit_products(8)
     products[(1, 1)] = {0: Fraction(1), 2: Fraction(2)}
     products[(1, 6)] = {7: Fraction(1)}
@@ -225,8 +221,8 @@ def obstruction_pair() -> InvariantModel:
         name="obstruction_pair",
         torus_rank=1,
         generators=(Generator("b", 0), Generator("a", 1)),
-        d=_matrix(2, {}),
-        contractions=(_matrix(2, {(0, 1): 1}),),
+        d=_columns(2, {}),
+        contractions=(_columns(2, {(0, 1): 1}),),
         top_degree=1,
         compact=False,
         notes=("c(a) = b with d = 0; u*b is closed but never exact",),
@@ -247,7 +243,7 @@ def _weight_block(weight: Weight) -> InvariantModel:
     n = weight.torus_rank
     c_list = []
     for i in range(n):
-        c_list.append(_matrix(3, {(1, 2): Fraction(-weight.coeffs[i])}))
+        c_list.append(_columns(3, {(1, 2): Fraction(-weight.coeffs[i])}))
     origin = FixedPointDatum(
         name="origin",
         tangent=LinearRepresentation(n, 0, ((weight, 1),)),
@@ -258,7 +254,7 @@ def _weight_block(weight: Weight) -> InvariantModel:
         name=f"c_alpha({','.join(str(c) for c in weight.coeffs)})",
         torus_rank=n,
         generators=(Generator("h", 0), Generator("dh", 1), Generator("v", 2)),
-        d=_matrix(3, {(1, 0): 1}),
+        d=_columns(3, {(1, 0): 1}),
         contractions=tuple(c_list),
         top_degree=2,
         compact=True,
@@ -297,12 +293,11 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
     for ga in a.generators:
         for gb in b.generators:
             gens.append(Generator(f"{ga.name}.{gb.name}", ga.degree + gb.degree))
-    size = na * nb
 
-    def leibniz(ma, mb) -> Tuple[Dict[int, Fraction], ...]:
+    def leibniz(ma, mb) -> List[Dict[int, Fraction]]:
         """m(x (x) y) = m(x) (x) y + (-1)^{|x|} x (x) m(y), column by column
-        from the factors' sparse columns, as the product's sparse columns
-        (nonzero entries, rows ascending)."""
+        from the factors' columns, as the product's columns (the model
+        drops entries that cancel and sorts the rows)."""
         columns = []
         for g in range(na):
             sign = (-1) ** (a.generators[g].degree % 2)
@@ -314,13 +309,8 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
                 for k, value in mb[l].items():
                     key = flat(g, k)
                     col[key] = col.get(key, Fraction(0)) + sign * value
-                columns.append({h: col[h] for h in sorted(col) if col[h]})
-        return tuple(columns)
-
-    def dense(columns) -> Tuple[Tuple[Fraction, ...], ...]:
-        return _matrix(
-            size, {(h, g): v for g, col in enumerate(columns) for h, v in col.items()}
-        )
+                columns.append(col)
+        return columns
 
     top = a.top_degree + b.top_degree
     integration: Dict[int, Fraction] = {}
@@ -360,24 +350,18 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
                     value[idx] = value.get(idx, Fraction(0)) + outer * v1 * v2
             products[(left, right)] = {k: v for k, v in value.items() if v != 0}
     products = {key: products[key] for key in sorted(products)}
-    operators = tuple(map(leibniz, a._operator_columns, b._operator_columns))
-
-    product = InvariantModel(
+    return InvariantModel(
         name=f"{a.name}(x){b.name}",
         torus_rank=a.torus_rank,
         generators=tuple(gens),
-        d=dense(operators[0]),
-        contractions=tuple(map(dense, operators[1:])),
+        d=leibniz(a.d, b.d),
+        contractions=tuple(map(leibniz, a.contractions, b.contractions)),
         top_degree=top,
         compact=a.compact and b.compact,
         integration=integration,
         product_table=products,
         notes=a.notes + b.notes,
     )
-    # the columns just computed are the product's sparse view: seeding the
-    # cached property spares the first query a scan of the dense matrices
-    vars(product)["_operator_columns"] = operators
-    return product
 
 
 def c_alpha(weights: Sequence[Sequence[int]]) -> InvariantModel:
@@ -521,14 +505,14 @@ def s2_chain() -> S2Chain:
     def inclusion(name: str, t_value: int) -> ModelMap:
         # pullback along the evaluation at a pole: one -> 1, t -> t_value, and
         # q = (t^2 - 1)/2 evaluates to 0 at both poles
-        pullback = _matrix(1, {(0, one): 1, (0, t): t_value}, size)
+        pullback = _columns(size, {(0, one): 1, (0, t): t_value})
         return ModelMap(name=name, source=pt, target=sphere, pullback=pullback)
 
     collapse = ModelMap(
         name="s2_to_point",
         source=sphere,
         target=pt,
-        pullback=_matrix(size, {(one, 0): 1}, 1),
+        pullback=_columns(1, {(one, 0): 1}),
     )
     return S2Chain(
         point=pt,
@@ -608,8 +592,8 @@ def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] 
         ],
         "top_degree": model.top_degree,
         "compact": model.compact,
-        "d": _triplets(model._operator_columns[0]),
-        "contractions": [_triplets(c) for c in model._operator_columns[1:]],
+        "d": _triplets(model.d),
+        "contractions": [_triplets(c) for c in model.contractions],
         "integration": sorted(
             [idx, _frac_str(value)] for idx, value in model.integration.items()
         ),
@@ -653,7 +637,7 @@ def model_to_dict(model: InvariantModel, maps: Optional[Mapping[str, ModelMap]] 
                 "source": _endpoint_ref(m.source, model),
                 "target": _endpoint_ref(m.target, model),
                 "proper": m.proper,
-                "pullback": _triplets(m._pullback_columns),
+                "pullback": _triplets(m.pullback),
             }
             for mname, m in maps.items()
         }
@@ -812,7 +796,7 @@ def _model_from_dict(data: dict, where: str) -> Tuple[InvariantModel, Validation
     square = (size, size)
 
     def matrix(raw, at: str):
-        return _matrix(size, _sparse(raw, square, f"{where}:{at}"))
+        return _columns(size, _sparse(raw, square, f"{where}:{at}"))
 
     blocks = _list(data.get("contractions", []), f"{where}:contractions", torus_rank)
     model = _build(
@@ -898,7 +882,7 @@ def _map_from_dict(
         name=name,
         source=source,
         target=target,
-        pullback=_matrix(rows, entries, cols),
+        pullback=_columns(cols, entries),
         proper=_exact(raw.get("proper", True), bool, f"{where}:proper"),
     )
     report = validate_map(model_map)

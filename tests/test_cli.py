@@ -111,6 +111,8 @@ REFUSED_INPUTS = [
     (["thom", "--model", "builtin:s2_rotation", "--top", "t,vol"],
      "phi_top must be homogeneous in generator degree"),
     (["thom", "--model", "builtin:s2_rotation", "--top", "t"], "phi_top is not d-closed"),
+    (["cohomology", "--model", "builtin:point(-1)"],
+     "bad arguments in 'point(-1)': model 'point(-1)': torus rank must be >= 0, got -1"),
 ]
 
 
@@ -373,13 +375,12 @@ def test_duality_perfect_and_torsion(capsys):
 def _two_points_with_blind_spot() -> InvariantModel:
     # a valid compact model whose integration functional misses one class:
     # the pairing degenerates without breaking any structural axiom
-    zero = ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
     return InvariantModel(
         name="two_points",
         torus_rank=1,
         generators=(Generator("pa", 0), Generator("pb", 0)),
-        d=zero,
-        contractions=(zero,),
+        d=({}, {}),
+        contractions=(({}, {}),),
         top_degree=0,
         compact=True,
         integration={0: Fraction(1), 1: Fraction(0)},

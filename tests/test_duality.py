@@ -592,7 +592,9 @@ def _hopf_s3():
     c(theta_omega) = omega, so H_T = Q[u]/(u^2)."""
 
     def matrix(entries):
-        return tuple(tuple(Fraction(entries.get((h, g), 0)) for g in range(4)) for h in range(4))
+        return tuple(
+            {h: Fraction(v) for (h, col), v in entries.items() if col == g} for g in range(4)
+        )
 
     products = {(0, g): {g: Fraction(1)} for g in range(4)}
     # theta * omega = theta_omega; every other product of two positive-degree
@@ -650,8 +652,8 @@ def test_the_reduction_stays_exact_on_int_entries():
 def test_a_non_monomial_cartan_entry_is_an_internal_fault():
     # d and c both reach one from theta: d_T(theta) = 1 + u is no monomial
     hopf = _hopf_s3()
-    d = [list(row) for row in hopf.d]
-    d[0][1] = Fraction(1)
-    broken = dataclasses.replace(hopf, d=tuple(map(tuple, d)))
+    d = [dict(column) for column in hopf.d]
+    d[1][0] = Fraction(1)
+    broken = dataclasses.replace(hopf, d=d)
     with pytest.raises(AssertionError, match="not a monomial"):
         classify_rank1(broken)

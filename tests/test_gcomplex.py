@@ -3,8 +3,9 @@ from __future__ import annotations
 import dataclasses
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,6 +19,7 @@ from equicart.gcomplex import (
     MissingProductError,
     ModelStructureError,
     ValidationIssue,
+    _cartan_column,
     cartan_differential,
     cohomology_generic,
     cohomology_hilbert,
@@ -59,6 +61,17 @@ def _all_builtins():
     return [builtin(name) for name in names]
 
 
+def _dense(columns, height):
+    """The rows of a height-row matrix stored by its columns: the dense
+    form that the reference computations below read, built here rather
+    than by the library."""
+    rows = [[Fraction(0)] * len(columns) for _ in range(height)]
+    for g, column in enumerate(columns):
+        for h, value in column.items():
+            rows[h][g] = value
+    return rows
+
+
 # -- structural validation --------------------------------------------------
 
 
@@ -74,8 +87,8 @@ def test_shape_mismatch_rejected_before_axioms():
             name="bad",
             torus_rank=1,
             generators=(Generator("one", 0),),
-            d=((Fraction(0), Fraction(0)),),  # not 1x1
-            contractions=(((Fraction(0),),),),
+            d=({}, {}),  # two columns for one generator
+            contractions=(({},),),
             top_degree=0,
         )
 
@@ -86,8 +99,8 @@ def test_anticommutation_violation_is_witnessed():
         name="bad_anticommute",
         torus_rank=1,
         generators=(Generator("t", 1), Generator("dt", 2)),
-        d=((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),
-        contractions=(((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),),
+        d=({1: Fraction(1)}, {}),
+        contractions=(({}, {0: Fraction(1)}),),
         top_degree=2,
     )
     report = validate_model(model)
@@ -103,8 +116,8 @@ def test_contraction_degree_violation_is_witnessed():
         name="bad_degree",
         torus_rank=1,
         generators=(Generator("one", 0), Generator("a", 1)),
-        d=((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0))),
-        contractions=(((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))),),
+        d=({}, {}),
+        contractions=(({1: Fraction(1)}, {}),),
         top_degree=1,
     )
     report = validate_model(model)
@@ -114,16 +127,14 @@ def test_contraction_degree_violation_is_witnessed():
 def test_degree_violations_are_reported_in_a_fixed_order():
     # a model's degree issues come column by column (d(a) before d(c)), a
     # map's row by row: the printed reports depend on both orders
-    zero, one = Fraction(0), Fraction(1)
-    d = [[zero] * 4 for _ in range(4)]
-    d[1][0] = d[3][0] = d[0][2] = one  # d(a) = b + e, d(c) = a
+    one = Fraction(1)
     model = InvariantModel(
         name="bad_degrees",
         torus_rank=1,
         generators=(Generator("a", 0), Generator("b", 0), Generator("c", 1),
                     Generator("e", 2)),
-        d=tuple(map(tuple, d)),
-        contractions=(tuple((zero,) * 4 for _ in range(4)),),
+        d=({1: one, 3: one}, {}, {0: one}, {}),  # d(a) = b + e, d(c) = a
+        contractions=(({},) * 4,),
         top_degree=2,
     )
     assert [str(issue) for issue in validate_model(model).issues] == [
@@ -134,7 +145,7 @@ def test_degree_violations_are_reported_in_a_fixed_order():
     ]
     circle = circle_trivial(1)
     swap = gysin.ModelMap(
-        name="swap", source=circle, target=circle, pullback=((zero, one), (one, zero))
+        name="swap", source=circle, target=circle, pullback=({1: one}, {0: one})
     )
     assert [str(issue) for issue in validate_map(swap).issues] == [
         "[pullback has degree 0] at a -> one: degrees 1 -> 0",
@@ -145,16 +156,14 @@ def test_degree_violations_are_reported_in_a_fixed_order():
 def test_a_witness_lists_its_rows_in_ascending_order():
     # d(x) = y + w, d(y) = v, d(w) = z: d(d(x)) reaches v (through y) before
     # z (through w), and the witness still lists z first
-    zero, one = Fraction(0), Fraction(1)
-    d = [[zero] * 5 for _ in range(5)]
-    d[1][0] = d[2][0] = d[4][1] = d[3][2] = one
+    one = Fraction(1)
     model = InvariantModel(
         name="d_squared",
         torus_rank=1,
         generators=(Generator("x", 0), Generator("y", 1), Generator("w", 1),
                     Generator("z", 2), Generator("v", 2)),
-        d=tuple(map(tuple, d)),
-        contractions=(tuple((zero,) * 5 for _ in range(5)),),
+        d=({1: one, 2: one}, {4: one}, {3: one}, {}, {}),
+        contractions=(({},) * 5,),
         top_degree=2,
     )
     assert [str(issue) for issue in validate_model(model).issues] == [
@@ -164,16 +173,13 @@ def test_a_witness_lists_its_rows_in_ascending_order():
 
 def test_contraction_anticommutation_between_variables():
     # c1(x) = y, c2(y) = z: (c1 c2 + c2 c1)(x) = z
-    zero3 = tuple(tuple(Fraction(0) for _ in range(3)) for _ in range(3))
-    c1 = ((Fraction(0),) * 3, (Fraction(0), Fraction(0), Fraction(1)),
-          (Fraction(0),) * 3)
-    c2 = ((Fraction(0), Fraction(1), Fraction(0)), (Fraction(0),) * 3,
-          (Fraction(0),) * 3)
+    c1 = ({}, {}, {1: Fraction(1)})
+    c2 = ({}, {0: Fraction(1)}, {})
     model = InvariantModel(
         name="bad_cc",
         torus_rank=2,
         generators=(Generator("z", 0), Generator("y", 1), Generator("x", 2)),
-        d=zero3,
+        d=({},) * 3,
         contractions=(c1, c2),
         top_degree=2,
     )
@@ -342,13 +348,12 @@ def test_graded_swap_sign_for_odd_generators():
 
 def test_signs_stay_exact_with_a_negative_degree():
     # (-1) ** k is a float for k < 0: no graded sign may carry one
-    zero = tuple((Fraction(0),) * 3 for _ in range(3))
     model = InvariantModel(
         name="e.a",
         torus_rank=1,
         generators=(Generator("one", 0), Generator("e", -1), Generator("a", 1)),
-        d=zero,
-        contractions=(zero,),
+        d=({},) * 3,
+        contractions=(({},) * 3,),
         top_degree=1,
         product_table={(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1}, (1, 2): {0: 1}},
     )
@@ -357,7 +362,7 @@ def test_signs_stay_exact_with_a_negative_degree():
     assert element_product(model, a, e) == element(model, {"one": -1})
     product = tensor_product(model, circle_free())
     entries = [v for row in product.product_table.values() for v in row.values()]
-    entries += [v for op in product._operator_columns for col in op for v in col.values()]
+    entries += [v for op in (product.d, *product.contractions) for col in op for v in col.values()]
     assert not any(isinstance(v, float) for v in entries)
     assert cohomology_hilbert(product, 6) == _brute_force_hilbert(product, 6)
 
@@ -386,8 +391,10 @@ def _brute_force_hilbert(model, cutoff):
     """Independent enumeration: assemble the degree-k slices of the Cartan
     complex from scratch, from slice -1 (into slice 0) on, and take ranks
     over Q."""
-    n = model.torus_rank
+    n, size = model.torus_rank, len(model.generators)
     low = min([0] + model.degrees())
+    d = _dense(model.d, size)
+    contractions = [_dense(c, size) for c in model.contractions]
 
     def monomials_of(j):
         if n == 0:
@@ -419,16 +426,16 @@ def _brute_force_hilbert(model, cutoff):
         index = {key: r for r, key in enumerate(rows_basis)}
         rows = [[Fraction(0)] * len(cols_basis) for _ in rows_basis]
         for c, (exps, g) in enumerate(cols_basis):
-            for h in range(len(model.generators)):
-                if model.d[h][g] != 0:
-                    rows[index[(exps, h)]][c] += model.d[h][g]
+            for h in range(size):
+                if d[h][g] != 0:
+                    rows[index[(exps, h)]][c] += d[h][g]
             for i in range(n):
                 bumped = tuple(
                     e + (1 if pos == i else 0) for pos, e in enumerate(exps)
                 )
-                for h in range(len(model.generators)):
-                    if model.contractions[i][h][g] != 0:
-                        rows[index[(bumped, h)]][c] += model.contractions[i][h][g]
+                for h in range(size):
+                    if contractions[i][h][g] != 0:
+                        rows[index[(bumped, h)]][c] += contractions[i][h][g]
         return rows, len(cols_basis)
 
     dims = []
@@ -445,13 +452,9 @@ def _brute_force_hilbert(model, cutoff):
 def _with_negative_degree():
     """s2_rotation plus a generator e of degree -1 with d(e) = one."""
     base = s2_rotation()
-    size = len(base.generators) + 1
 
-    def grown(matrix, extra=None):
-        rows = [list(row) + [Fraction(0)] for row in matrix] + [[Fraction(0)] * size]
-        if extra is not None:
-            rows[extra][size - 1] = Fraction(1)
-        return tuple(map(tuple, rows))
+    def grown(columns, extra=None):
+        return tuple(columns) + ({} if extra is None else {extra: Fraction(1)},)
 
     return dataclasses.replace(
         base,
@@ -465,13 +468,12 @@ def _with_negative_degree():
 def _negative_pair(torus_rank: int = 1, scale: int = 1, degree: int = -1) -> InvariantModel:
     """e -> f with |e| = degree < 0, |f| = degree + 1, d(e) = scale * f
     and every c_i zero: valid, and acyclic unless scale is 0."""
-    zero = ((Fraction(0),) * 2,) * 2
     return InvariantModel(
         name=f"e{degree}->{scale}f",
         torus_rank=torus_rank,
         generators=(Generator("e", degree), Generator("f", degree + 1)),
-        d=(zero[0], (Fraction(scale), Fraction(0))),
-        contractions=(zero,) * torus_rank,
+        d=({1: Fraction(scale)}, {}),
+        contractions=(({}, {}),) * torus_rank,
         top_degree=0,
     )
 
@@ -584,6 +586,122 @@ def test_rank_one_classification_agrees_with_the_engines_on_derived_models(case)
     assert c.free_rank == cohomology_generic(model).total_rank
 
 
+# the factors of FACTORS_BY_RANK, those with the most structure first
+BASIS_FACTORS = {
+    1: ["s2_rotation", "c_alpha(2)", "obstruction_pair", "circle_free", "c_alpha(1)",
+        "circle_trivial(1)", "point(1)"],
+    2: ["c_alpha(1,0;0,1)", "rema_adj", "circle_trivial(2)", "point(2)"],
+}
+FACTOR_MODELS = {name: builtin(name) for names in BASIS_FACTORS.values() for name in names}
+
+
+def _unitriangular_inverse(p):
+    """The inverse of an upper unitriangular matrix, by back substitution:
+    row h of P X = I reads X[h] = e_h - sum over k > h of P[h][k] X[k]."""
+    size = len(p)
+    inverse = [[Fraction(int(h == g)) for g in range(size)] for h in range(size)]
+    for h in reversed(range(size)):
+        for k in range(h + 1, size):
+            if p[h][k]:
+                inverse[h] = [x - p[h][k] * y for x, y in zip(inverse[h], inverse[k])]
+    return inverse
+
+
+def _column_product(a, b):
+    """A B for matrices given by their columns {row: entry}: column g of A B
+    sums B[k][g] times column k of A."""
+    product = []
+    for column in b:
+        out = {}
+        for k, x in column.items():
+            for h, y in a[k].items():
+                out[h] = out.get(h, 0) + y * x
+        product.append(out)
+    return tuple(product)
+
+
+@st.composite
+def conjugated_models(draw):
+    """(model, conjugate): a product of two builtins (a point factor leaves
+    the other one as it is), of torus rank 1 or 2 and at most 24
+    generators, restricted to a torus of rank 1 or 2 along a random integer
+    matrix when the draw says so; and the same complex in another basis, d
+    and every c_i conjugated to P^-1 M P by an integer unitriangular P that
+    mixes only generators of equal degree (entries -2..2, density 1/2),
+    with products, integration, named cocycles and fixed points dropped."""
+    m = draw(st.sampled_from([1, 2]))
+    names = draw(
+        st.lists(st.sampled_from(BASIS_FACTORS[m]), min_size=2, max_size=2).filter(
+            lambda names: prod(len(FACTOR_MODELS[name].generators) for name in names) <= 24
+        )
+    )
+    model = tensor_product(*(FACTOR_MODELS[name] for name in names))
+    n = draw(st.sampled_from([1, 2]))
+    if n != m or draw(st.booleans()):
+        model = restrict_subtorus(
+            model, [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
+        )
+    size, degrees = len(model.generators), model.degrees()
+    p = [[Fraction(int(h == g)) for g in range(size)] for h in range(size)]
+    for g in range(size):
+        for h in range(g):
+            if degrees[h] == degrees[g] and draw(st.booleans()):
+                p[h][g] = Fraction(draw(st.integers(-2, 2)))
+    inverse = _unitriangular_inverse(p)
+    p, inverse = (
+        tuple({h: row[g] for h, row in enumerate(matrix) if row[g]} for g in range(size))
+        for matrix in (p, inverse)
+    )
+
+    def conjugated(columns):
+        return _column_product(inverse, _column_product(columns, p))
+
+    conjugate = dataclasses.replace(
+        model,
+        name=f"{model.name}^P",
+        d=conjugated(model.d),
+        contractions=tuple(map(conjugated, model.contractions)),
+        compact=False,
+        integration={},
+        product_table={},
+        named_cocycles={},
+        fixed_points=(),
+    )
+    return model, conjugate
+
+
+def test_answers_do_not_depend_on_the_basis():
+    # the blocks are components of the nonzero pattern, which belongs to the
+    # basis; every answer must belong to the complex
+    mixed, merged, ranks = [], [], set()
+
+    @seed(20261020)
+    @settings(max_examples=200)
+    @given(conjugated_models())
+    def check(case):
+        model, conjugate = case
+        assert validate_model(conjugate).ok
+        generic = [cohomology_generic(m) for m in case]
+        assert (generic[0].even_rank, generic[0].odd_rank) == (
+            generic[1].even_rank, generic[1].odd_rank
+        )
+        # predicted and actual Hilbert tables to degree 12
+        assert predict_free_hilbert(model, 12) == predict_free_hilbert(conjugate, 12)
+        assert underlying_cohomology_dims(model) == underlying_cohomology_dims(conjugate)
+        if model.torus_rank == 1:
+            assert classify_rank1(model) == classify_rank1(conjugate)
+        plain = dataclasses.replace(model, named_cocycles={}, fixed_points=())
+        mixed.append((conjugate.d, conjugate.contractions) != (model.d, model.contractions))
+        merged.append(len(conjugate._blocks) < len(plain._blocks))
+        ranks.add(model.torus_rank)
+
+    check()
+    # most draws change the operators, many of them join blocks of the
+    # original basis, and both ranks are drawn
+    assert len(mixed) == 200 and sum(mixed) >= 80 and sum(merged) >= 30
+    assert ranks == {1, 2}
+
+
 def _dense_product(a, b):
     """Reference composition: every term of every entry, zeros included."""
     cols = len(b[0]) if b else 0
@@ -623,9 +741,9 @@ def _dense_model_issues(model):
     each c_i o c_j + c_j o c_i), from dense matrices."""
     gens, degrees = model.generators, model.degrees()
     issues = []
-    operators = [("d", model.d, 1)] + [
-        (f"c_{i + 1}", c, -1) for i, c in enumerate(model.contractions)
-    ]
+    d = _dense(model.d, len(gens))
+    cs = [_dense(c, len(gens)) for c in model.contractions]
+    operators = [("d", d, 1)] + [(f"c_{i + 1}", c, -1) for i, c in enumerate(cs)]
     for label, matrix, shift in operators:
         scan = _dense_degree_scan(matrix, degrees, degrees, shift)
         for h, g in sorted(scan, key=lambda entry: entry[::-1]):
@@ -641,7 +759,6 @@ def _dense_model_issues(model):
             for g, witness in _dense_residuals(gens, left, right)
         )
 
-    d, cs = model.d, model.contractions
     identity("d o d = 0", "", _dense_product(d, d))
     for i, c in enumerate(cs):
         identity("d o c + c o d = 0", f"c_{i + 1} on ",
@@ -657,19 +774,21 @@ def _dense_map_issues(f):
     """Every issue of validate_map, in its order (degrees row by row, then
     the commutation with d and with each c_i), from dense matrices."""
     src, tgt = f.source, f.target
+    pullback = _dense(f.pullback, len(src.generators))
     issues = [
         MapIssue(
             "pullback has degree 0",
             f"{tgt.generators[t].name} -> {src.generators[s].name}",
             f"degrees {tgt.generators[t].degree} -> {src.generators[s].degree}",
         )
-        for s, t in _dense_degree_scan(f.pullback, src.degrees(), tgt.degrees(), 0)
+        for s, t in _dense_degree_scan(pullback, src.degrees(), tgt.degrees(), 0)
     ]
     labels = ["d"] + [f"c_{i + 1}" for i in range(src.torus_rank)]
     for label, t_op, s_op in zip(
         labels, (tgt.d,) + tgt.contractions, (src.d,) + src.contractions
     ):
-        lhs, rhs = _dense_product(f.pullback, t_op), _dense_product(s_op, f.pullback)
+        t_op, s_op = _dense(t_op, len(tgt.generators)), _dense(s_op, len(src.generators))
+        lhs, rhs = _dense_product(pullback, t_op), _dense_product(s_op, pullback)
         issues.extend(
             MapIssue(f"pullback commutes with {label}", tgt.generators[t].name, witness)
             for t, witness in _dense_residuals(src.generators, lhs, rhs, -1)
@@ -680,16 +799,17 @@ def _dense_map_issues(f):
 MATRIX_AXIOMS = re.compile(r"(d|c_\d+) has degree|d o d|d o c|c_i o c_j")
 
 
-def _corrupted(draw, matrix):
-    """The matrix with one to three entries overwritten by small rationals
-    (zero included, which deletes a term)."""
-    rows = [list(row) for row in matrix]
-    if rows and rows[0]:
+def _corrupted(draw, matrix, height):
+    """The height-row matrix, given by its columns, with one to three
+    entries overwritten by small rationals (zero included, which deletes a
+    term)."""
+    columns = [dict(column) for column in matrix]
+    if height and columns:
         for _ in range(draw(st.integers(1, 3))):
-            h = draw(st.integers(0, len(rows) - 1))
-            g = draw(st.integers(0, len(rows[0]) - 1))
-            rows[h][g] = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
-    return tuple(tuple(row) for row in rows)
+            h = draw(st.integers(0, height - 1))
+            g = draw(st.integers(0, len(columns) - 1))
+            columns[g][h] = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+    return tuple(columns)
 
 
 @st.composite
@@ -701,11 +821,11 @@ def corrupted_models_and_maps(draw):
     model, _ = draw(derived_models().filter(lambda case: len(case[0].generators) <= 24))
     which = draw(st.sampled_from(["d", "c", "pullback"]))
     if which == "d":
-        model = dataclasses.replace(model, d=_corrupted(draw, model.d))
+        model = dataclasses.replace(model, d=_corrupted(draw, model.d, len(model.generators)))
     elif which == "c" and model.torus_rank:
         contractions = list(model.contractions)
         i = draw(st.integers(0, model.torus_rank - 1))
-        contractions[i] = _corrupted(draw, contractions[i])
+        contractions[i] = _corrupted(draw, contractions[i], len(model.generators))
         model = dataclasses.replace(model, contractions=tuple(contractions))
     if draw(st.booleans()):
         f = identity_map(model)
@@ -714,7 +834,9 @@ def corrupted_models_and_maps(draw):
         r = draw(st.integers(0, 2))
         f = restrict_map(f, [[draw(st.integers(-2, 2)) for _ in range(r)]])
     if which == "pullback":
-        f = dataclasses.replace(f, pullback=_corrupted(draw, f.pullback))
+        f = dataclasses.replace(
+            f, pullback=_corrupted(draw, f.pullback, len(f.source.generators))
+        )
     return model, f
 
 
@@ -748,12 +870,14 @@ def test_validators_accept_the_largest_rank_one_product(count_calls):
 
 def _dense_parity_blocks(model):
     """Reference A_eo and A_oe, entry by entry from d and each c_i."""
-    n = model.torus_rank
+    n, size = model.torus_rank, len(model.generators)
     even, odd = model.parity_indices()
+    d = _dense(model.d, size)
+    contractions = [_dense(c, size) for c in model.contractions]
 
     def entry(h, g):
-        p = Polynomial.constant(n, model.d[h][g])
-        for i, c in enumerate(model.contractions):
+        p = Polynomial.constant(n, d[h][g])
+        for i, c in enumerate(contractions):
             p = p + Polynomial.variable(n, i) * c[h][g]
         return p
 
@@ -781,9 +905,8 @@ def _misplaced(draw, model, kind):
     h, g = draw(st.sampled_from(places))
     value = Fraction(draw(st.sampled_from([-2, -1, 1, 2])), draw(st.integers(1, 2)))
     matrix = model.d if which == "d" else model.contractions[which]
-    rows = [list(row) for row in matrix]
-    rows[h][g] = value
-    matrix = tuple(map(tuple, rows))
+    matrix = [dict(column) for column in matrix]
+    matrix[g][h] = value
     if which == "d":
         return dataclasses.replace(model, d=matrix)
     contractions = list(model.contractions)
@@ -853,22 +976,32 @@ def test_the_sparse_table_agrees_with_a_dense_reference(case):
         assert both == image_rank + rank
 
 
-def test_a_replaced_model_gets_its_own_table():
+def test_a_replaced_model_gets_its_own_blocks_and_analysis():
     model = s2_rotation()
-    u = Polynomial.variable(1, 0)
-    table = model._cartan_table  # s -> u*q + tvol, t -> dt, ...
-    assert model._cartan_table is table
-    assert table[5] == {2: u, 7: Polynomial.one(1)}
-    zero = tuple((Fraction(0),) * 8 for _ in range(8))
-    plain = dataclasses.replace(model, d=zero)
-    assert plain._cartan_table[5] == {2: u}
-    assert model._cartan_table is table and table[1] == {3: Polynomial.one(1)}
+    u, one = Polynomial.variable(1, 0), Polynomial.one(1)
+    blocks, analysis = model._blocks, model._analysis
+    assert model._blocks is blocks and model._analysis is analysis
+    assert _cartan_column(model, 5) == {2: u, 7: one}  # d_T(s) = u*q + tvol
+    plain = dataclasses.replace(model, d=({},) * 8)
+    assert _cartan_column(plain, 5) == {2: u}
+    assert plain._blocks == ((0,), (1, 3, 6), (2, 5), (4, 7)) != blocks
+    assert plain._analysis is not analysis and plain._analysis.model is plain
+    assert model._blocks is blocks and model._analysis is analysis
+    assert _cartan_column(model, 1) == {3: one}
     assert cohomology_hilbert(plain, 6) == _brute_force_hilbert(plain, 6)
     assert cohomology_hilbert(plain, 6) != cohomology_hilbert(model, 6)
 
 
-def _tuple_matrix(matrix) -> bool:
-    return type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+def _in_stored_form(columns, height) -> bool:
+    """Stored as the library promises: a tuple of read-only columns, each
+    with its rows ascending and in range, and no zero entry."""
+    return type(columns) is tuple and all(
+        type(column) is MappingProxyType
+        and list(column) == sorted(column)
+        and all(0 <= h < height for h in column)
+        and all(column.values())
+        for column in columns
+    )
 
 
 def _constructed_models():
@@ -883,11 +1016,13 @@ def _constructed_models():
 
 
 @pytest.mark.parametrize("model", _constructed_models(), ids=lambda m: m.name)
-def test_every_constructor_stores_tuple_matrices(model):
-    # the d_T table is cached on the model: its matrices must not change
-    assert _tuple_matrix(model.d)
+def test_every_constructor_stores_read_only_columns(model):
+    # the blocks and the analysis are stored on the model: its operators
+    # must not change
+    size = len(model.generators)
+    assert len(model.d) == size and _in_stored_form(model.d, size)
     assert type(model.contractions) is tuple
-    assert all(_tuple_matrix(c) for c in model.contractions)
+    assert all(len(c) == size and _in_stored_form(c, size) for c in model.contractions)
 
 
 def test_generic_cohomology_eliminates_block_by_block(count_calls):
@@ -909,15 +1044,13 @@ def test_generic_cohomology_eliminates_block_by_block(count_calls):
 def test_computed_representatives_are_numbered_by_free_column_across_blocks():
     # d(x) = d(y) = z, w inert: block (0, 2, 3) has its free column at y,
     # after block (1,)'s free column w
-    one, zero = Fraction(1), Fraction(0)
-    d = [[zero] * 4 for _ in range(4)]
-    d[3][0] = d[3][2] = one
+    one = Fraction(1)
     model = InvariantModel(
         name="two_blocks",
         torus_rank=1,
         generators=tuple(Generator(nm, k) for nm, k in (("x", 0), ("w", 0), ("y", 0), ("z", 1))),
-        d=tuple(map(tuple, d)),
-        contractions=(((zero,) * 4,) * 4,),
+        d=({3: one}, {}, {3: one}, {}),
+        contractions=(({},) * 4,),
         top_degree=1,
     )
     assert validate_model(model).ok and model._blocks == ((0, 2, 3), (1,))
@@ -971,16 +1104,87 @@ def test_a_named_cocycle_across_two_components_names_its_class():
 @pytest.mark.parametrize("bad", [0.5, True, "1"], ids=repr)
 def test_an_entry_that_is_not_int_or_fraction_is_refused(operator, bad):
     base = s2_rotation()
-    matrix = base.d if operator == "d" else base.contractions[0]
-    rows = [list(row) for row in matrix]
-    rows[2][5] = bad  # one wrong entry; the float 0.0 elsewhere would be read as zero
-    rows = tuple(map(tuple, rows))
-    changes = {"d": rows} if operator == "d" else {"contractions": (rows,)}
-    model = dataclasses.replace(base, named_cocycles={}, fixed_points=(), **changes)
+    matrix = [dict(column) for column in (base.d if operator == "d" else base.contractions[0])]
+    matrix[5][2] = bad  # one wrong entry, refused when the model is built
+    changes = {"d": matrix} if operator == "d" else {"contractions": (matrix,)}
     message = f"{operator} entry at row 2, column 5 is {bad!r} ({type(bad).__name__})"
-    for query in (validate_model, cohomology_generic, cohomology_hilbert):
-        with pytest.raises(ModelStructureError, match=re.escape(message)):
-            query(model)
+    with pytest.raises(ModelStructureError, match=re.escape(message)):
+        dataclasses.replace(base, named_cocycles={}, fixed_points=(), **changes)
+
+
+def _s2_with(which, matrix):
+    """s2_rotation with d or c_1 replaced by the matrix, or the map s2 -> s2
+    with it as the pullback."""
+    s2 = s2_rotation()
+    if which == "pullback":
+        return gysin.ModelMap(name="f", source=s2, target=s2, pullback=matrix)
+    changes = {"d": matrix} if which == "d" else {"contractions": (matrix,)}
+    return dataclasses.replace(s2, named_cocycles={}, fixed_points=(), **changes)
+
+
+def _s2_operator(which, built=None):
+    """d or c_1 of s2_rotation, or the pullback of its identity map; of the
+    model or map built, when one is given."""
+    if which == "pullback":
+        return (built or identity_map(s2_rotation())).pullback
+    model = built or s2_rotation()
+    return model.d if which == "d" else model.contractions[0]
+
+
+def _bad_shapes(columns):
+    """(matrix, message) for each malformed 8 x 8 matrix made from the
+    columns: written densely, a row out of range either way, a column
+    short."""
+    dense = tuple(tuple(column.get(h, Fraction(0)) for column in columns) for h in range(8))
+    out_of_range = [dict(column) for column in columns]
+    out_of_range[3][8] = Fraction(1)
+    negative = [dict(column) for column in columns]
+    negative[0][-1] = Fraction(1)
+    return [
+        (dense, ": column 0 is a tuple, not a mapping {row: entry}"),
+        (out_of_range, ": row 8 of column 3 is not in range(8)"),
+        (negative, ": row -1 of column 0 is not in range(8)"),
+        (columns[:-1], " must be a tuple of 8 columns"),
+    ]
+
+
+@pytest.mark.parametrize("which", ["d", "c_1", "pullback"])
+def test_a_malformed_matrix_is_refused_at_construction(which):
+    error = gysin.MapStructureError if which == "pullback" else ModelStructureError
+    for matrix, message in _bad_shapes(_s2_operator(which)):
+        with pytest.raises(error, match=re.escape(which + message)):
+            _s2_with(which, matrix)
+
+
+@pytest.mark.parametrize("which", ["d", "c_1", "pullback"])
+def test_explicit_zero_entries_are_not_stored(which):
+    columns = _s2_operator(which)
+    # a zero on the diagonal of every column, int and Fraction alike
+    padded = [{g: 0 if g % 2 else Fraction(0), **column} for g, column in enumerate(columns)]
+    built = _s2_with(which, padded)
+    assert built == _s2_with(which, columns)
+    stored = _s2_operator(which, built)
+    assert stored == tuple(columns) and _in_stored_form(stored, 8)
+
+
+def test_a_stored_column_cannot_be_changed():
+    s2 = s2_rotation()
+    columns = [dict(column) for column in s2.d]
+    model = dataclasses.replace(s2, d=columns)
+    columns[1][3] = Fraction(5)  # the caller's dict is not the stored column
+    assert model.d[1] == {3: 1}
+    for column in (model.d[1], s2.contractions[0][5], identity_map(s2).pullback[0]):
+        with pytest.raises(TypeError):
+            column[0] = Fraction(2)
+    with pytest.raises(TypeError):
+        model.d[1] = {}
+
+
+def test_a_negative_torus_rank_is_refused():
+    with pytest.raises(ModelStructureError, match=re.escape("torus rank must be >= 0, got -1")):
+        InvariantModel(
+            name="negative", torus_rank=-1, generators=(), d=(), contractions=(), top_degree=0
+        )
 
 
 def test_point_hilbert_table_is_the_polynomial_ring():

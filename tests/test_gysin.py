@@ -82,7 +82,7 @@ def test_map_shape_mismatch_is_structural():
             name="bad_shape",
             source=chain.point,
             target=chain.sphere,
-            pullback=((Fraction(1),),),  # needs 1 x 8
+            pullback=({0: Fraction(1)},),  # needs 8 columns, one per sphere generator
         )
 
 
@@ -90,15 +90,11 @@ def test_nonequivariant_pullback_is_witnessed():
     # q -> one breaks contraction-commutation at s; dq -> one breaks both
     # the degree law and d-commutation at q
     chain = s2_chain()
-    rows = [[Fraction(0)] * 8]
-    rows[0][0] = Fraction(1)
-    rows[0][2] = Fraction(1)
-    rows[0][4] = Fraction(1)
     bad = ModelMap(
         name="bad_map",
         source=chain.point,
         target=chain.sphere,
-        pullback=tuple(tuple(r) for r in rows),
+        pullback=tuple({0: Fraction(1)} if t in (0, 2, 4) else {} for t in range(8)),
     )
     report = validate_map(bad)
     assert not report.ok
@@ -112,27 +108,22 @@ def test_nonequivariant_pullback_is_witnessed():
 def test_commutation_violation_names_the_generator():
     # pull t back to nothing but dt to the unit: breaks d-commutation at t
     chain = s2_chain()
-    rows = [[Fraction(0)] * 8]
-    rows[0][0] = Fraction(1)
-    rows[0][3] = Fraction(1)  # dt -> one, degree-violating and d-breaking
     bad = ModelMap(
         name="bad_dt",
         source=chain.point,
         target=chain.sphere,
-        pullback=tuple(tuple(r) for r in rows),
+        # one -> one, and dt -> one, degree-violating and d-breaking
+        pullback=tuple({0: Fraction(1)} if t in (0, 3) else {} for t in range(8)),
     )
     report = validate_map(bad)
     d_issues = [i for i in report.issues if i.law == "pullback commutes with d"]
     assert any(issue.where == "t" for issue in d_issues)
 
 
-def test_the_identity_is_built_with_its_sparse_view():
+def test_the_identity_pullback_is_its_diagonal_columns():
     model = tensor_product(s2_rotation(), s2_rotation())
     f = identity_map(model)
-    assert f.pullback == tuple(
-        tuple(Fraction(int(i == j)) for j in range(64)) for i in range(64)
-    )
-    assert f._pullback_columns == gcomplex._sparse_columns(f.pullback, 64)
+    assert f.pullback == tuple({g: Fraction(1)} for g in range(64))
     assert validate_map(f).ok
 
 

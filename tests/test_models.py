@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -134,8 +135,8 @@ def test_tensor_product_koszul_sign_in_the_differential():
     names = [g.name for g in model.generators]
     dh_h, h_dh, dh_dh = (names.index(k) for k in ("dh.h", "h.dh", "dh.dh"))
     # d(dh x h) = -dh x dh, d(h x dh) = +dh x dh
-    assert model.d[dh_dh][dh_h] == Fraction(-1)
-    assert model.d[dh_dh][h_dh] == Fraction(1)
+    assert model.d[dh_h][dh_dh] == Fraction(-1)
+    assert model.d[h_dh][dh_dh] == Fraction(1)
     # a square of an odd factor is declared zero
     left = element(model, {dh_h: 1})
     assert element_product(model, left, left).is_zero
@@ -154,10 +155,22 @@ def _graded_table_product(model, i, j):
     return out
 
 
+def _dense(columns):
+    """The rows of a square matrix given by its columns."""
+    return [[column.get(h, 0) for column in columns] for h in range(len(columns))]
+
+
+def _columns_of(rows):
+    """The columns of a dense square matrix: per column, its nonzero
+    entries {row: value}."""
+    return tuple({h: row[g] for h, row in enumerate(rows) if row[g]} for g in range(len(rows)))
+
+
 def _kronecker_reference(a, b):
-    """d, each c_i, integration and products of a (x) b, written out densely:
-    operators as M (x) 1 + eps (x) M with eps = (-1)^{|x|} on the left
-    factor, products with the Koszul sign (-1)^{|x2||y1|}."""
+    """d, each c_i, integration and products of a (x) b, written out densely
+    from dense copies of the factors' matrices, the operators then given by
+    their columns: operators as M (x) 1 + eps (x) M with eps = (-1)^{|x|} on
+    the left factor, products with the Koszul sign (-1)^{|x2||y1|}."""
     na, nb = len(a.generators), len(b.generators)
     pairs = [(i, j) for i in range(na) for j in range(nb)]
     degree = [a.generators[i].degree + b.generators[j].degree for i, j in pairs]
@@ -165,13 +178,14 @@ def _kronecker_reference(a, b):
     sign = [(-1) ** gen.degree for gen in a.generators]
 
     def leibniz(ma, mb):
-        return tuple(
-            tuple(
+        ma, mb = _dense(ma), _dense(mb)
+        return _columns_of([
+            [
                 (ma[h][g] if k == l else 0) + (sign[g] * mb[k][l] if h == g else 0)
                 for g, l in pairs
-            )
+            ]
             for h, k in pairs
-        )
+        ])
 
     d = leibniz(a.d, b.d)
     contractions = tuple(
@@ -228,13 +242,7 @@ def test_tensor_product_matches_a_dense_kronecker_reference(label):
     d, contractions, integration, products = _kronecker_reference(a, b)
     assert model.d == d
     assert model.contractions == contractions
-    # the sparse view the product is built with is the scan of its matrices
-    def ordered(columns):
-        return [[list(column.items()) for column in op] for op in columns]
-
-    assert ordered(model._operator_columns) == ordered(
-        dataclasses.replace(model)._operator_columns
-    )
+    assert all(list(col) == sorted(col) for op in (model.d, *model.contractions) for col in op)
     assert dict(model.integration) == integration
     assert {key: dict(value) for key, value in model.product_table.items()} == products
 
@@ -306,13 +314,7 @@ def test_constructors_and_the_differential_match_dense_references(case):
     d, contractions, integration, products = _kronecker_reference(a, b)
     assert model.d == d
     assert model.contractions == contractions
-    # the sparse view the product is built with is the scan of its matrices
-    def ordered(columns):
-        return [[list(column.items()) for column in op] for op in columns]
-
-    assert ordered(model._operator_columns) == ordered(
-        dataclasses.replace(model)._operator_columns
-    )
+    assert all(list(col) == sorted(col) for op in (model.d, *model.contractions) for col in op)
     assert dict(model.integration) == integration
     # keys in the order of a loop over all pairs (left, right)
     assert [(key, dict(row)) for key, row in model.product_table.items()] == list(
@@ -320,15 +322,16 @@ def test_constructors_and_the_differential_match_dense_references(case):
     )
 
     n, size, r = model.torus_rank, len(model.generators), len(weights[0]) if weights else 0
+    d, contractions = _dense(d), [_dense(c) for c in contractions]
     restricted = restrict_subtorus(model, weights)
     assert restricted.contractions == tuple(
-        tuple(
-            tuple(
+        _columns_of([
+            [
                 sum((weights[i][j] * contractions[i][h][g] for i in range(n)), Fraction(0))
                 for g in range(size)
-            )
+            ]
             for h in range(size)
-        )
+        ])
         for j in range(r)
     )
 
@@ -390,6 +393,20 @@ def test_saved_file_is_sorted_json_with_schema_version(tmp_path):
     data = json.loads(path.read_text())
     assert data["schema_version"] == 1
     assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_the_shipped_model_files_are_what_the_export_script_writes(tmp_path):
+    # the script regenerates modelfiles/; written here into tmp_path, every
+    # file must equal the shipped one byte for byte
+    script = Path(__file__).resolve().parent.parent / "scripts" / "export_builtin_models.py"
+    spec = importlib.util.spec_from_file_location("export_builtin_models", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.export(str(tmp_path))
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in MODELFILES.glob("*.json")) == list(SHIPPED)
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (MODELFILES / name).read_bytes(), name
 
 
 def test_declared_zero_products_survive_round_trip(tmp_path):
