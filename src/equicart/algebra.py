@@ -13,7 +13,10 @@ for many right-hand sides, kernels, determinants) goes through one sparse,
 row-incremental, fraction-free (Bareiss) echelon core, ``Echelon``, over Z or
 Z[u_1..u_n], into which rows over Q, Q[u] and its fraction field are cleared;
 ``rank_rational``, ``solve_rational``, ``rank_and_solve`` and ``determinant``
-are entry points over it.
+are entry points over it, and the rank-1 persistence pairing of
+``duality._graded_pairs`` reads its pivot columns.  The one other
+elimination is the Smith normal form.  ``generic_specialized_rank``, a rank at
+seeded random points, holds only with high probability; no command uses it.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Fraction
 
-#: Default seed for specialization draws; override per call or, for the CLI,
-#: with the EQUICART_SEED environment variable.
+#: Default seed of ``generic_specialized_rank``'s draws.
 DEFAULT_SEED = 1729
 
 _SPECIALIZE_NUM_BOUND = 10_000
@@ -50,6 +52,11 @@ def _as_fraction(value: Union[int, Fraction]) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+
+
+def _check_torus_rank(torus_rank: int) -> None:
+    if torus_rank < 0:
+        raise ValueError("torus_rank must be >= 0")
 
 
 def _reduced(num: dict, den: int) -> tuple:
@@ -76,8 +83,7 @@ class Polynomial:
     __slots__ = ("torus_rank", "_num", "_den", "_terms")
 
     def __new__(cls, torus_rank: int, terms: Optional[dict] = None):
-        if torus_rank < 0:
-            raise ValueError("torus_rank must be >= 0")
+        _check_torus_rank(torus_rank)
         clean: dict = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
@@ -110,14 +116,17 @@ class Polynomial:
 
     @classmethod
     def zero(cls, torus_rank: int) -> "Polynomial":
+        _check_torus_rank(torus_rank)
         return _poly(torus_rank, {})
 
     @classmethod
     def one(cls, torus_rank: int) -> "Polynomial":
+        _check_torus_rank(torus_rank)
         return _poly(torus_rank, {(0,) * torus_rank: 1})
 
     @classmethod
     def constant(cls, torus_rank: int, value: Union[int, Fraction]) -> "Polynomial":
+        _check_torus_rank(torus_rank)
         if not isinstance(value, (int, Fraction)):
             value = _as_fraction(value)  # raises TypeError
         if not value:
@@ -740,6 +749,11 @@ class Echelon:
     def rank(self) -> int:
         return len(self._pivots)
 
+    @property
+    def pivots(self) -> tuple:
+        """The pivot columns, in the order their rows became pivot rows."""
+        return tuple(item[0] for item in self._pivots)
+
     def add_row(self, row) -> bool:
         """Reduce a row (dict or sequence of width ncols + nrhs) against the
         pivot rows; True when it extends the span and becomes a pivot row."""
@@ -842,7 +856,7 @@ class Echelon:
     def kernel(self) -> list:
         """Kernel basis: per free column, the vector with that variable 1 and
         the other free variables 0."""
-        pivot_cols = {item[0] for item in self._pivots}
+        pivot_cols = set(self.pivots)
         return [
             self._back_substitute({free: self._field(self._one)}, None)
             for free in range(self.ncols)
@@ -855,7 +869,7 @@ class Echelon:
             raise ValueError("determinant requires a square matrix")
         if self.rank < self.ncols:
             return self._field_zero
-        cols = [item[0] for item in self._pivots]
+        cols = self.pivots
         inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
         value = self._last if inversions % 2 == 0 else -self._last
         return (Fraction if self.torus_rank is None else RationalFunction)(value, self._cleared)

@@ -8,7 +8,9 @@ internal consistency checks; "internal error: ..." on standard error).
 
 Output formats: `--format text` (default, human-readable) and `--format
 json` (stable schema, sorted keys, two-space indent, one trailing newline —
-identical invocations produce byte-identical output).
+identical invocations produce byte-identical output).  Every check is exact:
+`classify --matrix` compares its Smith normal form's rank with the rank over
+Q(u) from the echelon core, and no check draws random points.
 """
 
 from __future__ import annotations
@@ -16,23 +18,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import duality, euler, gcomplex, gysin, models
-from .algebra import (
-    DEFAULT_SEED,
-    Polynomial,
-    RationalFunction,
-    generic_specialized_rank,
-    matmul,
-    smith_normal_form,
-)
-
-SEED_ENV_VAR = "EQUICART_SEED"
+from .algebra import Echelon, Polynomial, RationalFunction, matmul, smith_normal_form
 
 TORSION_GYSIN_NOTE = (
     "target has torsion equivariant cohomology: the localized Gysin matrix "
@@ -326,8 +318,10 @@ def _classify_matrix(args) -> Tuple[int, dict]:
         for i in range(len(d_mat))
         for j in range(len(d_mat[0]) if d_mat else 0)
     )
-    specialized = generic_specialized_rank(matrix, seed=args.seed)
-    ranks_agree = specialized == len(factors)
+    echelon = Echelon(len(matrix[0]), torus_rank=1)  # the rank over Q(u)
+    for row in matrix:
+        echelon.add_row(row)
+    ranks_agree = echelon.rank == len(factors)
     payload = {
         "rows": len(matrix),
         "cols": len(matrix[0]),
@@ -336,10 +330,9 @@ def _classify_matrix(args) -> Tuple[int, dict]:
         "checks": {
             "uav_equals_d": uav_ok,
             "snf_rank": len(factors),
-            "specialized_rank": specialized,
+            "generic_rank": echelon.rank,
             "ranks_agree": ranks_agree,
         },
-        "seed": args.seed,
     }
     return (0 if (uav_ok and ranks_agree) else 2), payload
 
@@ -594,12 +587,6 @@ def build_parser() -> _Parser:
         if cutoff:
             p.add_argument("--cutoff", type=int, default=None)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"rank-check seed (default: ${SEED_ENV_VAR} or {DEFAULT_SEED})",
-        )
 
     p = sub.add_parser("validate", help="check all structural axioms")
     common(p)
@@ -688,13 +675,6 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     handler = _HANDLERS[args.command]
     try:
-        if args.seed is None:
-            seed = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
-            try:
-                args.seed = int(seed)
-            except ValueError:
-                message = f"{SEED_ENV_VAR} must be an integer, got {seed!r}"
-                raise UsageError(message) from None
         code, payload = handler(args)
     except FileNotFoundError as exc:
         print(f"error: no such model file: {exc.filename}", file=sys.stderr)

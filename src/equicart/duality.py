@@ -10,10 +10,10 @@ coefficient ring is a graded principal ideal domain and every entry of d_T
 is a monomial c * u^k, so equivariant cohomology decomposes exactly into a
 free part and torsion blocks Q[u]/(u^k), read off one d_T block at a time by
 a column reduction with Q coefficients alone (``_graded_pairs``, as in
-persistent homology); a presented module is classified by the same
-reduction of its relation columns.  The dual-module ranks come from the
-same data (Ext of a torsion block against the ring is the block again, with
-a degree twist).
+persistent homology, run on the library's one echelon core); a presented
+module is classified by the same reduction of its relation columns.  The
+dual-module ranks come from the same data (Ext of a torsion block against
+the ring is the block again, with a degree twist).
 """
 
 from __future__ import annotations
@@ -376,25 +376,22 @@ def _graded_pairs(
     of a column j, k = (degree_j - row_degrees[r]) / 2, plus a free summand
     on every other row.
     """
-    by_pivot: Dict[int, Dict[int, Fraction]] = {}
+    # one Echelon over Z with a row per column, its columns the rows in
+    # descending (degree, index) order: a new row's leading column is then
+    # its row of largest (degree, index) left after reduction, set by the
+    # ranks of sub-matrices and so the persistence pivot
+    rows = sorted(
+        {r for _, column in columns for r in column},
+        key=lambda r: (row_degrees[r], r),
+        reverse=True,
+    )
+    position = {r: k for k, r in enumerate(rows)}
+    echelon = Echelon(len(rows))
     pairs: List[Tuple[int, int]] = []
     zeros: List[int] = []
     for j in sorted(range(len(columns)), key=lambda j: (columns[j][0], j)):
-        column = dict(columns[j][1])
-        while column:
-            pivot = max(column, key=lambda r: (row_degrees[r], r))
-            earlier = by_pivot.get(pivot)
-            if earlier is None:
-                by_pivot[pivot] = column
-                pairs.append((pivot, j))
-                break
-            factor = Fraction(column[pivot], earlier[pivot])  # entries may be ints
-            for r, value in earlier.items():
-                entry = column.get(r, 0) - factor * value
-                if entry:
-                    column[r] = entry
-                else:
-                    del column[r]
+        if echelon.add_row({position[r]: c for r, c in columns[j][1].items()}):
+            pairs.append((rows[echelon.pivots[-1]], j))
         else:
             zeros.append(j)
     return pairs, zeros

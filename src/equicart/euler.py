@@ -72,6 +72,8 @@ class LinearRepresentation:
     weights: Tuple[Tuple[Weight, int], ...] = ()
 
     def __post_init__(self):
+        if self.torus_rank < 0:
+            raise ValueError("torus_rank must be >= 0")
         if self.trivial_real_multiplicity < 0:
             raise ValueError("trivial multiplicity must be >= 0")
         pairs = []

@@ -52,13 +52,7 @@ from math import comb, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .algebra import (
-    DEFAULT_SEED,
-    Echelon,
-    Polynomial,
-    RationalFunction,
-    _poly,
-)
+from .algebra import Echelon, Polynomial, RationalFunction, _poly
 from .euler import FixedPointDatum
 
 Coefficient = Union[Polynomial, RationalFunction]

@@ -23,6 +23,7 @@ from equicart.algebra import (
     smith_normal_form,
     solve_rational,
 )
+from equicart.euler import LinearRepresentation
 
 U = Polynomial.variable(1, 0)
 ONE = Polynomial.one(1)
@@ -113,6 +114,18 @@ def test_poly_divmod_rejects_rank_2():
     p = Polynomial.one(2)
     with pytest.raises(UnsupportedRankError):
         poly_divmod(p, p)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polynomial(-1, {}),
+    lambda: Polynomial.zero(-2),
+    lambda: Polynomial.one(-1),
+    lambda: Polynomial.constant(-1, 3),
+    lambda: LinearRepresentation(-1, 0, ()),
+])
+def test_a_negative_torus_rank_is_refused(build):
+    with pytest.raises(ValueError, match=r"^torus_rank must be >= 0$"):
+        build()
 
 
 # -- linear algebra over the rationals ----------------------------------------

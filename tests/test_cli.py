@@ -112,7 +112,7 @@ REFUSED_INPUTS = [
      "phi_top must be homogeneous in generator degree"),
     (["thom", "--model", "builtin:s2_rotation", "--top", "t"], "phi_top is not d-closed"),
     (["cohomology", "--model", "builtin:point(-1)"],
-     "bad arguments in 'point(-1)': model 'point(-1)': torus rank must be >= 0, got -1"),
+     "bad arguments in 'point(-1)': torus_rank must be >= 0"),
 ]
 
 
@@ -313,13 +313,30 @@ def test_classify_constant_matrix(capsys):
     code, payload, _ = invoke_json(capsys, "classify", "--matrix", "1,2;3,4")
     assert code == 0
     assert payload["invariant_factors"] == ["1", "1"]
-    assert payload["checks"]["specialized_rank"] == 2
+    assert payload["checks"]["generic_rank"] == 2
     # no entry is homogeneous of positive degree, yet the rank is not constant
     code, payload, _ = invoke_json(capsys, "classify", "--matrix", "u^3-3u^2")
     assert code == 0
     assert payload["invariant_factors"] == ["u^3 - 3*u^2"]
-    assert payload["checks"]["specialized_rank"] == 1
+    assert payload["checks"]["generic_rank"] == 1
     assert payload["checks"]["ranks_agree"] is True
+
+
+@pytest.mark.parametrize("spec", [
+    # nonsingular matrices that lose rank at the points the former seeded
+    # specialization drew with its default seed (-8527/53, 6426/59, -4441/86)
+    "u^2+968695/4558u+37868407/4558,0;0,u+4441/86",
+    "u^2+162515/3127u-54794502/3127",
+])
+def test_classify_matrix_rank_is_exact(capsys, spec):
+    code, payload, err = invoke_json(capsys, "classify", "--matrix", spec)
+    assert (code, err) == (0, "")
+    checks = payload["checks"]
+    assert checks["generic_rank"] == checks["snf_rank"] == len(payload["invariant_factors"])
+    assert checks["ranks_agree"] is True
+    code, out, err = invoke(capsys, "classify", "--matrix", spec)
+    assert (code, err) == (0, "")
+    assert f"  generic_rank: {checks['snf_rank']}\n  ranks_agree: yes\n" in out
 
 
 def test_classify_matrix_rejects_garbage(capsys):
@@ -627,23 +644,22 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
-def test_seed_defaults_to_environment(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "7")
-    code, payload, _ = invoke_json(capsys, "classify", "--matrix", "u,0;0,u")
-    assert code == 0
-    assert payload["seed"] == 7
-    # an explicit flag wins over the environment
-    code, payload, _ = invoke_json(
-        capsys, "classify", "--matrix", "u,0;0,u", "--seed", "11"
-    )
-    assert payload["seed"] == 11
-
-
-def test_a_non_integer_seed_in_the_environment_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv(cli.SEED_ENV_VAR, "abc")
-    assert invoke(capsys, "cohomology", "--model", "builtin:point") == (
-        1, "", "error: EQUICART_SEED must be an integer, got 'abc'\n"
-    )
+def test_no_option_or_environment_variable_sets_a_seed(capsys, monkeypatch):
+    # every rank is exact, so no subcommand takes a seed
+    required = {
+        "gysin": ["--map", "builtin:s2_to_point"],
+        "thom": ["--model", "builtin:s2_rotation", "--top", "vol"],
+        "euler": ["--weights", "1"],
+        "restrict": ["--model", "builtin:s2_rotation", "--matrix", "1"],
+    }
+    for command in cli._HANDLERS:
+        argv = required.get(command, ["--model", "builtin:point(1)"])
+        assert invoke(capsys, command, *argv, "--seed", "7") == (
+            1, "", "error: unrecognized arguments: --seed 7\n"
+        )
+    monkeypatch.setenv("EQUICART_SEED", "abc")
+    code, out, err = invoke(capsys, "cohomology", "--model", "builtin:point")
+    assert (code, err) == (0, "")
 
 
 def test_text_format_is_the_default(capsys):
@@ -727,5 +743,4 @@ def test_cli_output_matches_the_recorded_reference(capsys, monkeypatch, command)
     # each key is the argv joined by spaces; model files are named relative
     # to the repository root
     monkeypatch.chdir(REPO_ROOT)
-    monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
     assert list(invoke(capsys, *command.split(" "))) == CLI_REFERENCE[command]

@@ -1,8 +1,9 @@
 """The exact echelon core against sympy, an independent implementation.
 
 On seeded, generated sparse matrices over Q and over Q(u) at torus ranks 1
-and 2: the rank and the rank growth row by row, the reduced-echelon
-particular solution and nullspace basis, and the Berkowitz determinant.
+and 2: the rank, the pivot columns and the rank growth row by row, the
+reduced-echelon particular solution and nullspace basis, and the Berkowitz
+determinant.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ def to_sympy(x):
 
 
 def oracle(rows, rhs, ncols, domain):
-    """rank, prefix ranks, free-variables-zero solutions (None when
+    """pivot columns, prefix ranks, free-variables-zero solutions (None when
     inconsistent) and the unit-free-variable nullspace basis, from sympy's
     reduced echelon form over ``domain``."""
 
@@ -67,7 +68,7 @@ def oracle(rows, rhs, ncols, domain):
         for i, c in enumerate(pivots_b):
             x[c] = reduced_b[i, ncols]
         solutions.append(x)
-    return len(pivots), prefix_ranks, solutions, nullspace
+    return pivots, prefix_ranks, solutions, nullspace
 
 
 def same(ours, theirs) -> bool:
@@ -102,8 +103,9 @@ def check_against_sympy(rows, rhs, torus_rank, domain):
     grew = [
         echelon.add_row(row + [b[i] for b in rhs]) for i, row in enumerate(rows)
     ]
-    rank, prefix_ranks, solutions, nullspace = oracle(rows, rhs, ncols, domain)
-    assert echelon.rank == rank
+    pivots, prefix_ranks, solutions, nullspace = oracle(rows, rhs, ncols, domain)
+    assert echelon.rank == len(pivots)
+    assert set(echelon.pivots) == set(pivots)
     assert grew == [r > q for r, q in zip(prefix_ranks, [0] + prefix_ranks)]
     assert all(same(a, b) for a, b in zip(echelon.solve(), solutions))
     kernel = echelon.kernel()

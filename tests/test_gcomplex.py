@@ -20,12 +20,14 @@ from equicart.gcomplex import (
     ModelStructureError,
     ValidationIssue,
     _cartan_column,
+    apply_rational_matrix,
     cartan_differential,
     cohomology_generic,
     cohomology_hilbert,
     element,
     element_product,
     evaluate_at_point,
+    graded_product,
     named_cocycle_element,
     predict_free_hilbert,
     scale_contractions,
@@ -33,7 +35,14 @@ from equicart.gcomplex import (
     validate_model,
 )
 from equicart import algebra, gysin
-from equicart.duality import classify_rank1
+from equicart.duality import (
+    NonCompactModelError,
+    classify_rank1,
+    duality_check,
+    integrate_product,
+    is_torsion,
+    pairing_matrix,
+)
 from equicart.euler import LinearRepresentation
 from equicart.gysin import MapIssue, identity_map, restrict_map, restrict_subtorus, validate_map
 from equicart.models import (
@@ -620,15 +629,41 @@ def _column_product(a, b):
     return tuple(product)
 
 
+def _conjugated_products(model, p, inverse):
+    """The product table in the basis of P's columns: the pair (a, b), a <=
+    b, is stored when every pair (h, k) with P[h][a] P[k][b] != 0 is, and
+    its row is P^-1 of the sum of P[h][a] P[k][b] h k."""
+    table = {}
+    for b in range(len(p)):
+        for a in range(b + 1):
+            terms = [
+                (x * y, graded_product(model, h, k))
+                for h, x in p[a].items()
+                for k, y in p[b].items()
+            ]
+            if any(found is None for _, found in terms):
+                continue
+            total = {}
+            for scale, (row, sign) in terms:
+                for i, value in row.items():
+                    total[i] = total.get(i, 0) + sign * scale * value
+            row = _column_product(inverse, [total])[0]
+            table[(a, b)] = {i: value for i, value in row.items() if value}
+    return table
+
+
 @st.composite
 def conjugated_models(draw):
-    """(model, conjugate): a product of two builtins (a point factor leaves
+    """(model, conjugate, P): a product of two builtins (a point factor leaves
     the other one as it is), of torus rank 1 or 2 and at most 24
     generators, restricted to a torus of rank 1 or 2 along a random integer
-    matrix when the draw says so; and the same complex in another basis, d
-    and every c_i conjugated to P^-1 M P by an integer unitriangular P that
-    mixes only generators of equal degree (entries -2..2, density 1/2),
-    with products, integration, named cocycles and fixed points dropped."""
+    matrix when the draw says so; and the same model in the basis of the
+    columns of an integer unitriangular P that mixes only generators of
+    equal degree (entries -2..2, density 1/2): d and every c_i become
+    P^-1 M P, each named cocycle P^-1 x, the integration functional
+    i'(g) = sum over h of P[h][g] i(h) on every top-degree generator, and
+    the product table as in ``_conjugated_products``; fixed points are
+    dropped."""
     m = draw(st.sampled_from([1, 2]))
     names = draw(
         st.lists(st.sampled_from(BASIS_FACTORS[m]), min_size=2, max_size=2).filter(
@@ -656,32 +691,48 @@ def conjugated_models(draw):
     def conjugated(columns):
         return _column_product(inverse, _column_product(columns, p))
 
+    cocycles = {
+        name: {g: c for g, c in _column_product(inverse, [raw])[0].items() if not c.is_zero}
+        for name, raw in model.named_cocycles.items()
+    }
+    top = [g for g in range(size) if degrees[g] == model.top_degree]
+    integration = {
+        g: sum(x * model.integration[h] for h, x in p[g].items()) for g in top
+    } if model.compact else {}
     conjugate = dataclasses.replace(
         model,
         name=f"{model.name}^P",
         d=conjugated(model.d),
         contractions=tuple(map(conjugated, model.contractions)),
-        compact=False,
-        integration={},
-        product_table={},
-        named_cocycles={},
+        integration=integration,
+        product_table=_conjugated_products(model, p, inverse),
+        named_cocycles=cocycles,
         fixed_points=(),
     )
-    return model, conjugate
+    return model, conjugate, p
+
+
+def _duality_report(model):
+    """(pairing rank, generic Betti total, perfect), or the refusal's type."""
+    try:
+        report = duality_check(model)
+    except (NonCompactModelError, MissingProductError) as exc:
+        return type(exc)
+    return report.pairing_rank, report.generic_betti_total, report.perfect
 
 
 def test_answers_do_not_depend_on_the_basis():
     # the blocks are components of the nonzero pattern, which belongs to the
-    # basis; every answer must belong to the complex
-    mixed, merged, ranks = [], [], set()
+    # basis; every answer must belong to the model
+    mixed, merged, ranks, paired = [], [], set(), []
 
     @seed(20261020)
     @settings(max_examples=200)
     @given(conjugated_models())
     def check(case):
-        model, conjugate = case
+        model, conjugate, p = case
         assert validate_model(conjugate).ok
-        generic = [cohomology_generic(m) for m in case]
+        generic = [cohomology_generic(m) for m in (model, conjugate)]
         assert (generic[0].even_rank, generic[0].odd_rank) == (
             generic[1].even_rank, generic[1].odd_rank
         )
@@ -689,17 +740,34 @@ def test_answers_do_not_depend_on_the_basis():
         assert predict_free_hilbert(model, 12) == predict_free_hilbert(conjugate, 12)
         assert underlying_cohomology_dims(model) == underlying_cohomology_dims(conjugate)
         if model.torus_rank == 1:
+            # rank-2 pairings wait for reduced rational functions
             assert classify_rank1(model) == classify_rank1(conjugate)
-        plain = dataclasses.replace(model, named_cocycles={}, fixed_points=())
+            assert is_torsion(model) == is_torsion(conjugate)
+            reports = [_duality_report(m) for m in (model, conjugate)]
+            # a partial table keeps fewer pairs in a basis that mixes
+            # generators, so only the conjugate may miss a product
+            if reports[1] is not MissingProductError:
+                assert reports[0] == reports[1]
+            paired.append(isinstance(reports[1], tuple))
+            if paired[-1]:
+                # the conjugate's pairing is the original integral of the
+                # products of its classes written back in the original basis
+                pairing = pairing_matrix(conjugate)
+                moved = [apply_rational_matrix(model, p, x) for x in pairing.classes]
+                for i, a in enumerate(moved):
+                    for j, b in enumerate(moved):
+                        value = integrate_product(model, a, b)
+                        assert pairing.entry(i, j) == RationalFunction.coerce(value, 1)
         mixed.append((conjugate.d, conjugate.contractions) != (model.d, model.contractions))
-        merged.append(len(conjugate._blocks) < len(plain._blocks))
+        merged.append(len(conjugate._blocks) < len(model._blocks))
         ranks.add(model.torus_rank)
 
     check()
     # most draws change the operators, many of them join blocks of the
-    # original basis, and both ranks are drawn
+    # original basis, both ranks are drawn, and most rank-1 draws compare
+    # two duality reports
     assert len(mixed) == 200 and sum(mixed) >= 80 and sum(merged) >= 30
-    assert ranks == {1, 2}
+    assert ranks == {1, 2} and sum(paired) >= 60
 
 
 def _dense_product(a, b):

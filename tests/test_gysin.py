@@ -5,8 +5,11 @@ import dataclasses
 import io
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from equicart import cli, duality, gcomplex
 from equicart.algebra import Polynomial, RationalFunction, UnsupportedRankError
@@ -546,6 +549,52 @@ def test_restriction_commutes_with_gysin_for_the_circle_flip():
     gysin = gysin_localized(flipped)
     assert gysin.matrix[0, 0] == rf(Polynomial(1, {(1,): Fraction(-1, 2)}))
     assert gysin.matrix[1, 0] == rf(Fraction(1, 2))
+
+
+RANK2_FACTORS = {
+    name: builtin(name)
+    for name in ["point(2)", "circle_trivial(2)", "rema_adj", "c_alpha(1,2)",
+                 "c_alpha(1,0;0,1)", "c_alpha(1,1;1,2)"]
+}
+
+
+def _integer_matrix(draw, rows, cols):
+    return [[draw(st.integers(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def restriction_chains(draw):
+    """A rank-2 builtin or a product of two (at most 24 generators), an
+    integer 2 x k matrix A with k >= 1 and a k x r matrix B with r >= 0.
+    No intermediate has rank 0: A would be two empty rows and B the list
+    of 0 rows [], which cannot carry the column count r."""
+    names = draw(
+        st.lists(st.sampled_from(sorted(RANK2_FACTORS)), min_size=1, max_size=2).filter(
+            lambda names: prod(len(RANK2_FACTORS[n].generators) for n in names) <= 24
+        )
+    )
+    model = RANK2_FACTORS[names[0]]
+    for name in names[1:]:
+        model = tensor_product(model, RANK2_FACTORS[name])
+    k, r = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return model, _integer_matrix(draw, 2, k), _integer_matrix(draw, k, r)
+
+
+@seed(20261021)
+@settings(max_examples=150)
+@given(restriction_chains())
+def test_restricting_twice_is_restricting_along_the_product(case):
+    # every field agrees (operators, products, integration, named cocycles,
+    # fixed points with their tangent weights), only the name differs
+    model, a, b = case
+    along_identity = restrict_subtorus(model, [[1, 0], [0, 1]])
+    assert dataclasses.replace(along_identity, name=model.name) == model
+    product = [[sum(x * b[t][j] for t, x in enumerate(row)) for j in range(len(b[0]))]
+               for row in a]
+    once = restrict_subtorus(model, product)
+    twice = restrict_subtorus(restrict_subtorus(model, a), b)
+    assert twice.torus_rank == len(b[0])
+    assert dataclasses.replace(twice, name=once.name) == once
 
 
 def test_restrict_map_keeps_the_pullback_matrix():
