@@ -2,9 +2,12 @@
 """Regenerate the example model files in modelfiles/ from the builtin library.
 
 Run from the repository root:  python3 scripts/export_builtin_models.py
+It takes no options: --help prints usage, and any other argument is a usage
+error (exit 2); neither writes a file.
 """
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 
@@ -37,7 +40,11 @@ def export(out_dir: str) -> None:
     )
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    argparse.ArgumentParser(
+        description="Rewrite the four example model files in modelfiles/ "
+        "from the builtin library and validate each one.",
+    ).parse_args(argv)
     out_dir = os.path.join(os.path.dirname(__file__), "..", "modelfiles")
     os.makedirs(out_dir, exist_ok=True)
     export(out_dir)

@@ -8,10 +8,13 @@ over the univariate ring Q[u].
 Every exact kernel computes on Python ints: a Polynomial holds integer
 coefficients over one positive denominator, and Fraction appears only at the
 boundary (constructor input, the read-only ``Polynomial.terms`` view, printed
-output and returned solutions).  All exact linear algebra (ranks, solutions
-for many right-hand sides, kernels, determinants) goes through one sparse,
-row-incremental, fraction-free (Bareiss) echelon core, ``Echelon``, over Z or
-Z[u_1..u_n], into which rows over Q, Q[u] and its fraction field are cleared;
+output and returned solutions).  A model stores an integral entry of d, a
+c_i or a pullback as an int, so the rows read from it are integer rows.  All
+exact linear algebra (ranks, solutions for many right-hand sides, kernels,
+determinants) goes through one sparse, row-incremental, fraction-free
+(Bareiss) echelon core, ``Echelon``, over Z or Z[u_1..u_n], which takes an
+all-int row over Z as it is and into which rows over Q, Q[u] and its
+fraction field are cleared;
 ``rank_rational``, ``solve_rational``, ``rank_and_solve`` and ``determinant``
 are entry points over it, and the rank-1 persistence pairing of
 ``duality._graded_pairs`` reads its pivot columns.  The one other
@@ -710,8 +713,9 @@ class Echelon:
     """Sparse, row-incremental, fraction-free echelon form (Bareiss 1968).
 
     The one elimination of the library, over Z (``torus_rank`` None,
-    division ``//``) or Z[u_1..u_n] (division ``poly_exact_div``).  A row is
-    cleared into that domain by the lcm of its Fraction denominators, or by
+    division ``//``) or Z[u_1..u_n] (division ``poly_exact_div``).  An
+    all-int row over Z is taken as it is; any other row is cleared into that
+    domain by the lcm of its Fraction denominators, or by
     the product of its distinct RationalFunction denominators and then the
     lcm of its coefficient denominators; ``det`` divides the scales back out.
 
@@ -791,7 +795,10 @@ class Echelon:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         n = self.torus_rank
         if n is None:
-            out = {j: x if type(x) is int else _as_fraction(x) for j, x in items if x != 0}
+            out = {j: x for j, x in items if x != 0}
+            if all(type(x) is int for x in out.values()):
+                return out  # integer already: nothing to clear
+            out = {j: x if type(x) is int else _as_fraction(x) for j, x in out.items()}
             common = lcm(*[x.denominator for x in out.values()])
             if common > 1:
                 self._cleared *= common

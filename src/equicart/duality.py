@@ -31,6 +31,7 @@ from .algebra import (
     UnsupportedRankError,
 )
 from .gcomplex import (
+    Entry,
     EquivariantElement,
     GenericCohomology,
     InvariantModel,
@@ -361,7 +362,7 @@ def presentation_from_model(model: InvariantModel) -> ModulePresentation:
 
 
 def _graded_pairs(
-    columns: Sequence[Tuple[int, Dict[int, Fraction]]], row_degrees: Sequence[int]
+    columns: Sequence[Tuple[int, Dict[int, Entry]]], row_degrees: Sequence[int]
 ) -> Tuple[List[Tuple[int, int]], List[int]]:
     """Column reduction of a homogeneous matrix over Q[u] with Q coefficients
     alone (Zomorodian and Carlsson, Computing persistent homology, 2005).
@@ -433,7 +434,7 @@ def _classification(model: InvariantModel) -> ModuleClassification:
     for block in model._blocks:
         columns = []
         for g in block:
-            column: Dict[int, Fraction] = {}
+            column: Dict[int, Entry] = {}
             for operator, shift in zip(operators, (1, -1)):
                 for h, value in operator[g].items():
                     if degrees[h] != degrees[g] + shift:

@@ -56,7 +56,8 @@ from .algebra import Echelon, Polynomial, RationalFunction, _poly
 from .euler import FixedPointDatum
 
 Coefficient = Union[Polynomial, RationalFunction]
-Columns = Sequence[Mapping[int, Fraction]]  # a matrix by its sparse columns
+Entry = Union[int, Fraction]  # of d, a c_i or a pullback: an int when integral
+Columns = Sequence[Mapping[int, Entry]]  # a matrix by its sparse columns
 _ENTRY_TYPES = frozenset({int, Fraction})  # of the entries of d and the c_i
 
 
@@ -91,7 +92,11 @@ class InvariantModel:
     Fraction), and likewise for each contraction.  The constructor refuses a
     wrong column count, a row out of range or another entry type with a
     ModelStructureError, and stores each column read-only, zeros dropped and
-    rows ascending, so ``==`` compares the operators' values.  The product
+    rows ascending, so ``==`` compares the operators' values.  An integral
+    entry is stored as an int (``Fraction(2)`` as ``2``, which is equal and
+    hashes alike), so the operator identities compute on ints and the rows
+    that the eliminations read from the columns need no denominators
+    cleared.  The product
     table is stored on canonical index pairs (i, j) with i <= j; the swapped
     product carries the graded sign (-1)^{|i||j|}.  Integration assigns a
     rational to every generator of degree top_degree when the model is
@@ -250,12 +255,13 @@ def _component_roots(count: int, links: Iterable[Sequence[int]]) -> List[int]:
 
 def _stored_columns(
     columns, height: int, width: int, where: str, error: type
-) -> Tuple[Mapping[int, Fraction], ...]:
+) -> Tuple[Mapping[int, Entry], ...]:
     """A height x width matrix, given as a tuple or list of columns {row:
     entry}, in its stored form: per column, a read-only {row: entry} over the
-    nonzero entries, rows ascending.  A wrong column count, a column that is
-    not a mapping, a row that is not an int in range(height) and an entry
-    that is not an int or a Fraction are each an ``error``."""
+    nonzero entries, rows ascending, an integral entry as an int and any
+    other as a Fraction.  A wrong column count, a column that is not a
+    mapping, a row that is not an int in range(height) and an entry that is
+    not an int or a Fraction are each an ``error``."""
     if type(columns) not in (tuple, list) or len(columns) != width:
         raise error(f"{where} must be a tuple of {width} columns")
     stored = []
@@ -273,16 +279,23 @@ def _stored_columns(
                     f"{where} entry at row {h}, column {g} is {value!r} "
                     f"({type(value).__name__}), not an int or a Fraction"
                 )
-        stored.append(MappingProxyType({h: column[h] for h in sorted(column) if column[h]}))
+        stored.append(
+            MappingProxyType({h: _integral(column[h]) for h in sorted(column) if column[h]})
+        )
     return tuple(stored)
 
 
-def _columns(width: int, entries: Mapping[Tuple[int, int], Fraction]) -> List[dict]:
+def _integral(value: Entry) -> Entry:
+    """An integral entry as an int, any other as its Fraction."""
+    return value.numerator if value.denominator == 1 else value
+
+
+def _columns(width: int, entries: Mapping[Tuple[int, int], Entry]) -> List[dict]:
     """The ``width`` columns of the matrix with these entries {(h, g):
     value}: per column g, {h: value}."""
     columns: List[dict] = [{} for _ in range(width)]
     for (h, g), v in entries.items():
-        columns[g][h] = Fraction(v)
+        columns[g][h] = v
     return columns
 
 

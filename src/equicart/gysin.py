@@ -41,6 +41,7 @@ from .gcomplex import (
     EquivariantElement,
     InvariantModel,
     Columns,
+    Entry,
     _cartan_column,
     _component_roots,
     _composed_column,
@@ -81,7 +82,9 @@ class ModelMap:
     pullback[t] is the mapping {s: coefficient of source generator s in the
     pullback of target generator t} (an int or a Fraction).  It is stored
     like a model's operators (read-only columns, zeros dropped, rows
-    ascending; a wrong shape or entry type is a MapStructureError); it has
+    ascending, an integral entry as an int, so the operator identities of
+    validate_map compute on ints; a wrong shape or entry type is a
+    MapStructureError); it has
     degree 0 and commutes with d and with every contraction (checked by
     validate_map).  ``_analysis`` (a MapAnalysis) is built on first use and
     kept.
@@ -114,7 +117,7 @@ def identity_map(model: InvariantModel) -> ModelMap:
         name=f"identity:{model.name}",
         source=model,
         target=model,
-        pullback=tuple({g: Fraction(1)} for g in range(len(model.generators))),
+        pullback=tuple({g: 1} for g in range(len(model.generators))),
     )
 
 
@@ -609,7 +612,7 @@ def thom_extend(model: InvariantModel, phi_top: EquivariantElement) -> Equivaria
                 target = rhs.setdefault(bumped, {})
                 for g, value in vec.items():
                     for h, entry in model.contractions[i][g].items():
-                        target[h] = target.get(h, Fraction(0)) - entry * value
+                        target[h] = target.get(h, 0) - entry * value
         rhs = {
             exps: {h: v for h, v in vec.items() if v != 0}
             for exps, vec in rhs.items()
@@ -709,12 +712,12 @@ def restrict_subtorus(
     a = _integer_rows(a)
     new_contractions = []
     for j in range(r):
-        columns: List[Dict[int, Fraction]] = [{} for _ in model.generators]
+        columns: List[Dict[int, Entry]] = [{} for _ in model.generators]
         for i in range(n):
             if a[i][j]:
                 for g, column in enumerate(model.contractions[i]):
                     for h, value in column.items():
-                        columns[g][h] = columns[g].get(h, Fraction(0)) + a[i][j] * value
+                        columns[g][h] = columns[g].get(h, 0) + a[i][j] * value
         new_contractions.append(columns)
 
     images = _substitution_images(a, r)

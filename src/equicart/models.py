@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .algebra import Polynomial
 from .euler import FixedPointDatum, LinearRepresentation, Weight
 from .gcomplex import (
+    Entry,
     Generator,
     InvariantModel,
     ValidationReport,
@@ -243,7 +244,7 @@ def _weight_block(weight: Weight) -> InvariantModel:
     n = weight.torus_rank
     c_list = []
     for i in range(n):
-        c_list.append(_columns(3, {(1, 2): Fraction(-weight.coeffs[i])}))
+        c_list.append(_columns(3, {(1, 2): -weight.coeffs[i]}))
     origin = FixedPointDatum(
         name="origin",
         tangent=LinearRepresentation(n, 0, ((weight, 1),)),
@@ -294,7 +295,7 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
         for gb in b.generators:
             gens.append(Generator(f"{ga.name}.{gb.name}", ga.degree + gb.degree))
 
-    def leibniz(ma, mb) -> List[Dict[int, Fraction]]:
+    def leibniz(ma, mb) -> List[Dict[int, Entry]]:
         """m(x (x) y) = m(x) (x) y + (-1)^{|x|} x (x) m(y), column by column
         from the factors' columns, as the product's columns (the model
         drops entries that cancel and sorts the rows)."""
@@ -302,13 +303,13 @@ def tensor_product(a: InvariantModel, b: InvariantModel) -> InvariantModel:
         for g in range(na):
             sign = (-1) ** (a.generators[g].degree % 2)
             for l in range(nb):
-                col: Dict[int, Fraction] = {}
+                col: Dict[int, Entry] = {}
                 for h, value in ma[g].items():
                     key = flat(h, l)
-                    col[key] = col.get(key, Fraction(0)) + value
+                    col[key] = col.get(key, 0) + value
                 for k, value in mb[l].items():
                     key = flat(g, k)
-                    col[key] = col.get(key, Fraction(0)) + sign * value
+                    col[key] = col.get(key, 0) + sign * value
                 columns.append(col)
         return columns
 

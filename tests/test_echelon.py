@@ -3,12 +3,14 @@
 On seeded, generated sparse matrices over Q and over Q(u) at torus ranks 1
 and 2: the rank, the pivot columns and the rank growth row by row, the
 reduced-echelon particular solution and nullspace basis, and the Berkowitz
-determinant.
+determinant.  And the same rows over Q given as ints and as Fractions, which
+the core takes as they are and clears, against each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, seed, settings
@@ -166,3 +168,47 @@ def test_echelon_over_polynomials_matches_sympy(torus_rank):
         check_against_sympy(rows, rhs, torus_rank, domain)
 
     check()
+
+
+def _outcomes(rows, rhs):
+    """rank, pivots, solutions and kernel of the rows (lists) with these
+    right-hand sides, and the determinant of their leading square (rows given
+    as dicts)."""
+    echelon = Echelon(len(rows[0]), nrhs=len(rhs))
+    for i, row in enumerate(rows):
+        echelon.add_row(row + [b[i] for b in rhs])
+    size = min(len(rows), len(rows[0]))
+    square = Echelon(size)
+    for row in rows[:size]:
+        square.add_row(dict(enumerate(row[:size])))
+    det = square.det()
+    return echelon.rank, echelon.pivots, echelon.solve(), echelon.kernel(), (det, type(det))
+
+
+nonzero_fractions = small_fractions.filter(bool)
+
+
+@seed(20261020)
+@settings(max_examples=60)
+@given(
+    systems(st.integers(-4, 4), max_size=6),
+    st.lists(nonzero_fractions, min_size=7, max_size=7),
+)
+def test_integer_rows_eliminate_as_the_same_rows_of_fractions(system, scales):
+    # an all-int row is taken as it is and a row with Fractions is cleared:
+    # the same rational rows give the same answers either way, and so does
+    # each row and its right-hand sides times a nonzero constant, but for
+    # the determinant, which takes the product of the constants
+    rows, rhs = system
+    as_ints = _outcomes(rows, rhs)
+    assert all(type(x) is int for row in rows for x in row)
+    as_fractions = [[Fraction(x) for x in row] for row in rows]
+    mixed = [row if i % 2 else as_fractions[i] for i, row in enumerate(rows)]
+    assert as_ints == _outcomes(as_fractions, rhs) == _outcomes(mixed, rhs)
+    scaled = _outcomes(
+        [[x * s for x in row] for row, s in zip(rows, scales)],
+        [[x * s for x, s in zip(b, scales)] for b in rhs],
+    )
+    assert scaled[:4] == as_ints[:4]
+    det, size = as_ints[4][0], min(len(rows), len(rows[0]))
+    assert scaled[4] == (det * prod(scales[:size]), Fraction)

@@ -47,12 +47,14 @@ from equicart.euler import LinearRepresentation
 from equicart.gysin import MapIssue, identity_map, restrict_map, restrict_subtorus, validate_map
 from equicart.models import (
     builtin_map,
+    builtin_maps,
     builtin_map_names,
     builtin_names,
     builtin,
     circle_free,
     circle_trivial,
     load_model,
+    load_model_file,
     point,
     s2_rotation,
     tensor_product,
@@ -557,8 +559,10 @@ FACTORS_BY_RANK = {
 def derived_models(draw):
     """A builtin or a product of two, possibly times a pair e -> f in
     degrees -1 and 0, restricted to a torus of rank 0, 1 or 2, contractions
-    possibly rescaled; points and trivial circles bring inert generators,
-    and so do zero restriction columns."""
+    possibly rescaled, and d possibly rescaled by a nonzero p/q (a valid
+    model with d non-integral; named cocycles and fixed points dropped);
+    points and trivial circles bring inert generators, and so do zero
+    restriction columns."""
     n = draw(st.sampled_from(sorted(FACTORS_BY_RANK)))
     names = draw(st.lists(st.sampled_from(FACTORS_BY_RANK[n]), min_size=1, max_size=2))
     model = builtin(names[0])
@@ -573,6 +577,15 @@ def derived_models(draw):
     if draw(st.booleans()):
         num = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
         model = scale_contractions(model, Fraction(num, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        factor = Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), draw(st.integers(1, 3)))
+        model = dataclasses.replace(
+            model,
+            name=f"{model.name}(d*{factor})",
+            d=tuple({h: v * factor for h, v in column.items()} for column in model.d),
+            named_cocycles={},
+            fixed_points=(),
+        )
     return model, draw(st.integers(0, 7))
 
 
@@ -1062,12 +1075,14 @@ def test_a_replaced_model_gets_its_own_blocks_and_analysis():
 
 def _in_stored_form(columns, height) -> bool:
     """Stored as the library promises: a tuple of read-only columns, each
-    with its rows ascending and in range, and no zero entry."""
+    with its rows ascending and in range, and no zero entry; an entry is an
+    int exactly when it is integral, and a Fraction otherwise."""
     return type(columns) is tuple and all(
         type(column) is MappingProxyType
         and list(column) == sorted(column)
         and all(0 <= h < height for h in column)
         and all(column.values())
+        and all(type(v) is (int if v.denominator == 1 else Fraction) for v in column.values())
         for column in columns
     )
 
@@ -1078,6 +1093,10 @@ def _constructed_models():
         tensor_product(s2, s2),
         restrict_subtorus(s2, [[1, 2]]),
         scale_contractions(s2, Fraction(2)),
+        scale_contractions(tensor_product(s2, s2), Fraction(3, 2)),
+        restrict_subtorus(
+            scale_contractions(builtin("c_alpha(1,2;3,1)"), Fraction(1, 2)), [[2], [2]]
+        ),
     ]
     models += [load_model(path) for path in sorted(MODELFILES.glob("*.json"))]
     return models
@@ -1091,6 +1110,42 @@ def test_every_constructor_stores_read_only_columns(model):
     assert len(model.d) == size and _in_stored_form(model.d, size)
     assert type(model.contractions) is tuple
     assert all(len(c) == size and _in_stored_form(c, size) for c in model.contractions)
+
+
+def _constructed_maps():
+    s2, table = s2_rotation(), builtin_maps()
+    north = table["s2_north_inclusion"]
+    files = [load_model_file(path) for path in sorted(MODELFILES.glob("*.json"))]
+    return list(table.values()) + [
+        identity_map(tensor_product(s2, s2)),
+        gysin.compose_maps(table["s2_to_point"], north),
+        restrict_map(north, [[2]]),
+        gysin.ModelMap(name="half", source=s2, target=s2, pullback=({0: Fraction(1, 2)},) * 8),
+    ] + [f for loaded in files for f in loaded.maps.values()]
+
+
+@pytest.mark.parametrize("f", _constructed_maps(), ids=lambda f: f.name)
+def test_every_map_constructor_stores_read_only_columns(f):
+    assert len(f.pullback) == len(f.target.generators)
+    assert _in_stored_form(f.pullback, len(f.source.generators))
+
+
+@pytest.mark.parametrize("which", ["d", "c_1", "pullback"])
+def test_an_integral_fraction_is_stored_as_the_int(which):
+    # Fraction(2) and 2 build equal operators, stored alike as ints; a
+    # model's columns are read-only mappings, so a model has no hash, but
+    # its operators' entries hash alike
+    columns = _s2_operator(which)
+    built = [
+        _s2_with(which, [{h: factor * v for h, v in column.items()} for column in columns])
+        for factor in (2, Fraction(2), Fraction(1, 2))
+    ]
+    assert built[0] == built[1] != built[2]
+    stored = [_s2_operator(which, f) for f in built]
+    entries = [tuple(tuple(c.items()) for c in op) for op in stored[:2]]
+    assert hash(entries[0]) == hash(entries[1])
+    assert all(type(v) is int for op in stored[:2] for c in op for v in c.values())
+    assert all(type(v) is Fraction for c in stored[2] for v in c.values())
 
 
 def test_generic_cohomology_eliminates_block_by_block(count_calls):

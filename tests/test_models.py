@@ -395,18 +395,35 @@ def test_saved_file_is_sorted_json_with_schema_version(tmp_path):
     assert path.read_text() == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def test_the_shipped_model_files_are_what_the_export_script_writes(tmp_path):
-    # the script regenerates modelfiles/; written here into tmp_path, every
-    # file must equal the shipped one byte for byte
+def _export_script():
     script = Path(__file__).resolve().parent.parent / "scripts" / "export_builtin_models.py"
     spec = importlib.util.spec_from_file_location("export_builtin_models", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    module.export(str(tmp_path))
+    return module
+
+
+def test_the_shipped_model_files_are_what_the_export_script_writes(tmp_path):
+    # the script regenerates modelfiles/; written here into tmp_path, every
+    # file must equal the shipped one byte for byte
+    _export_script().export(str(tmp_path))
     written = sorted(path.name for path in tmp_path.iterdir())
     assert written == sorted(path.name for path in MODELFILES.glob("*.json")) == list(SHIPPED)
     for name in written:
         assert (tmp_path / name).read_bytes() == (MODELFILES / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["--typo"], 2), (["out"], 2)])
+def test_the_export_script_takes_no_arguments_and_then_writes_nothing(
+    capsys, monkeypatch, argv, code
+):
+    module = _export_script()
+    monkeypatch.setattr(module, "export", lambda out_dir: pytest.fail("export ran"))
+    with pytest.raises(SystemExit) as exit_info:
+        module.main(argv)
+    assert exit_info.value.code == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage: ")
 
 
 def test_declared_zero_products_survive_round_trip(tmp_path):
