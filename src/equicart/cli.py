@@ -122,7 +122,7 @@ def _parse_element(model, spec: str):
         try:
             idx = model.generator_index(name.strip())
         except KeyError as exc:
-            raise UsageError(str(exc)) from exc
+            raise UsageError(exc.args[0]) from exc
         terms[idx] = terms.get(idx, Fraction(0)) + coeff
     if not terms:
         raise UsageError("empty element specification")

@@ -299,7 +299,11 @@ def decompose_many(
         columns = [basis[k].terms for k in own] + boundary
         columns += [elements[pos].terms for pos in positions]
         echelon = Echelon(width, n, nrhs=len(positions))
-        for h in rows:
+        # last generator first: a computed representative has coefficient 1
+        # at the last generator of its support (its kernel vector's free
+        # variable), so that row becomes its pivot and back substitution
+        # divides by a constant, not through a polynomial gcd
+        for h in reversed(rows):
             echelon.add_row(
                 {col: column[h] for col, column in enumerate(columns) if h in column}
             )
@@ -367,6 +371,16 @@ def _gysin_image(
             continue
         out = out + target_classes[k].scaled(coeff)
     return out
+
+
+def _polynomial_form(x: EquivariantElement) -> EquivariantElement:
+    """x with each coefficient that is a polynomial held as a Polynomial, so
+    that products multiply in Q[u]: the same values, without fraction-field
+    arithmetic."""
+    return EquivariantElement(x.model, {
+        g: c.numerator if isinstance(c, RationalFunction) and c.is_polynomial else c
+        for g, c in x.terms.items()
+    })
 
 
 class MapAnalysis:
@@ -475,56 +489,59 @@ class MapAnalysis:
     ) -> ProjectionFormulaReport:
         """Residuals of f_*(f* a * b) - a * f_*(b) in target-basis
         coordinates, for sampled pairs (a = target class index, b = source
-        class index); default samples every basis pair."""
+        class index); default samples every basis pair.  A pair outside the
+        two bases is a ValueError.
+
+        Each distinct pair is checked once: f* a once per target class and
+        f_* b once per source class that a pair names, products in Q[u]
+        where the coefficients are polynomials, one decomposition per side,
+        and the Gysin matrix applied over its nonzero entries."""
         f = self.map
         gysin = self.gysin
         source_coh = self.source.cohomology
         target_coh = self.target.cohomology
         source_classes = source_coh.elements()
         target_classes = target_coh.elements()
+        t, s = len(target_classes), len(source_classes)
         if samples is None:
-            samples = [
-                (i, j)
-                for i in range(len(target_classes))
-                for j in range(len(source_classes))
-            ]
-        mixed_coords = decompose_many(
-            f.source,
-            source_classes,
-            [
-                element_product(
-                    f.source, pullback_element(f, target_classes[i]), source_classes[j]
+            samples = [(i, j) for i in range(t) for j in range(s)]
+        samples = [tuple(pair) for pair in samples]
+        for i, j in samples:
+            if not (0 <= i < t and 0 <= j < s):
+                raise ValueError(
+                    f"sample ({i}, {j}) is outside the bases of {f.name!r}: "
+                    f"need 0 <= i < {t} (target classes) and 0 <= j < {s} "
+                    "(source classes)"
                 )
-                for i, j in samples
-            ],
+        pairs = list(dict.fromkeys(samples))
+        sources = [_polynomial_form(b) for b in source_classes]
+        targets = [_polynomial_form(a) for a in target_classes]
+        pulled = {
+            i: _polynomial_form(pullback_element(f, target_classes[i]))
+            for i in {i for i, _ in pairs}
+        }
+        pushed = {
+            j: _polynomial_form(_gysin_image(f, gysin, target_classes, j))
+            for j in {j for _, j in pairs}
+        }
+        mixed = [element_product(f.source, pulled[i], sources[j]) for i, j in pairs]
+        rhs = [element_product(f.target, targets[i], pushed[j]) for i, j in pairs]
+        mixed_coords = decompose_many(f.source, source_classes, mixed)
+        rhs_coords = decompose_many(f.target, target_classes, rhs)
+        zero = RationalFunction.constant(f.source.torus_rank, 0)
+        gysin_rows = [
+            [(jj, g) for jj, g in enumerate(row) if not g.is_zero]
+            for row in gysin.matrix.entries
+        ]
+        names_t, names_s = target_coh.names(), source_coh.names()
+        checked = {}
+        for (i, j), coords, rhs_k in zip(pairs, mixed_coords, rhs_coords):
+            lhs = [sum((g * coords[jj] for jj, g in row), zero) for row in gysin_rows]
+            residual = tuple(a - b for a, b in zip(lhs, rhs_k))
+            checked[i, j] = (names_t[i], names_s[j], residual)
+        return ProjectionFormulaReport(
+            map_name=f.name, entries=tuple(checked[pair] for pair in samples)
         )
-        rhs_coords = decompose_many(
-            f.target,
-            target_classes,
-            [
-                element_product(
-                    f.target, target_classes[i], _gysin_image(f, gysin, target_classes, j)
-                )
-                for i, j in samples
-            ],
-        )
-        entries = []
-        for (i, j), coords, rhs in zip(samples, mixed_coords, rhs_coords):
-            lhs = [
-                sum(
-                    (
-                        gysin.matrix[k, jj] * coords[jj]
-                        for jj in range(len(source_classes))
-                    ),
-                    RationalFunction.constant(f.source.torus_rank, 0),
-                )
-                for k in range(len(target_classes))
-            ]
-            residual = tuple(a - b for a, b in zip(lhs, rhs))
-            entries.append(
-                (target_coh.names()[i], source_coh.names()[j], residual)
-            )
-        return ProjectionFormulaReport(map_name=f.name, entries=tuple(entries))
 
 
 def pullback_cohomology(f: ModelMap) -> MatrixF:

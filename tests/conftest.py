@@ -27,7 +27,8 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 def count_calls(monkeypatch):
     """count_calls(function) wraps every equicart module binding of the
     function with a counter and returns the list the wrapped calls append
-    their arguments to."""
+    their arguments to.  A function that no equicart module binds fails the
+    test, so that a count of zero cannot pass because an import moved."""
 
     def install(original):
         calls = []
@@ -36,11 +37,15 @@ def count_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
+        wrapped = 0
         for name, module in list(sys.modules.items()):
             if name == "equicart" or name.startswith("equicart."):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, counted)
+                        wrapped += 1
+        if not wrapped:
+            pytest.fail(f"count_calls: no equicart module binds {original!r}")
         return calls
 
     return install

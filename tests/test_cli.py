@@ -121,6 +121,13 @@ def test_refused_inputs_are_usage_errors(capsys, argv, message):
     assert invoke(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+def test_an_unknown_generator_is_named_without_quotes(capsys):
+    # the message of the KeyError, not its repr-quoted str()
+    assert invoke(capsys, "thom", "--model", "builtin:s2_rotation", "--top", "nope") == (
+        1, "", "error: model 's2_rotation' has no generator 'nope'\n"
+    )
+
+
 def test_an_untyped_library_fault_is_an_internal_error(capsys, monkeypatch):
     def fault(model):
         raise ValueError("u does not divide 1")

@@ -12,6 +12,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from equicart import cli, duality, gcomplex
+from equicart import gysin as gysin_module
 from equicart.algebra import Polynomial, RationalFunction, UnsupportedRankError
 from equicart.duality import (
     NonCompactModelError,
@@ -230,6 +231,14 @@ def test_decomposition_keeps_a_zero_basis_class_at_zero():
     assert decompose_in_basis(model, padded, x) == [rf(0)] + coords[:2] + [rf(0)] + coords[2:]
 
 
+def test_the_rank_two_identity_decomposes_on_unit_pivots():
+    # each class pivots on its coefficient 1, so no entry carries a
+    # polynomial over itself, as (u1 + 2*u2) / (u1 + 2*u2) at rank 2
+    f = identity_map(restrict_subtorus(s2_rotation(), [[1, 2]]))
+    for matrix in (pullback_cohomology(f), gysin_localized(f).matrix):
+        assert [[str(x) for x in row] for row in matrix.entries] == [["1", "0"], ["0", "1"]]
+
+
 def test_a_cocycle_outside_the_span_does_not_decompose():
     model, basis, _, x = _sphere_square()
     # every other block still decomposes; the block of the dropped class
@@ -344,6 +353,80 @@ def test_projection_formula_report_text():
     assert "all zero" in str(report)
 
 
+def test_a_gysin_matrix_that_is_no_module_map_fails_the_projection_formula():
+    # swapping the rows of G keeps the adjunction's shape but not the
+    # module structure; scaling G would not do, the formula is homogeneous in G
+    f = identity_map(s2_rotation())
+    gysin = gysin_localized(f)
+    rows = gysin.matrix.entries
+    f._analysis.gysin = dataclasses.replace(
+        gysin, matrix=dataclasses.replace(gysin.matrix, entries=(rows[1], rows[0]))
+    )
+    report = projection_formula_check(f)
+    assert not report.ok
+    assert str(report).splitlines() == [
+        "projection formula for 'identity:s2_rotation': NONZERO RESIDUALS",
+        "  (one, one): [0, 0]",
+        "  (one, w): [0, 0]",
+        "  (w, one): [-u^2 + 1, 0]",
+        "  (w, w): [0, u^2 - 1]",
+    ]
+
+
+CHECKED_ONCE = {
+    "identity": lambda: identity_map(s2_rotation()),
+    "inclusion": lambda: builtin_map("s2_north_inclusion"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(CHECKED_ONCE))
+def test_the_projection_formula_maps_each_class_once(count_calls, label):
+    f = CHECKED_ONCE[label]()
+    gysin_localized(f)  # the held parts the check reads
+    pulled = count_calls(gysin_module.pullback_element)
+    pushed = count_calls(gysin_module._gysin_image)
+    decomposed = count_calls(gysin_module.decompose_many)
+    report = projection_formula_check(f)
+    t = len(cohomology_generic(f.target).elements())
+    s = len(cohomology_generic(f.source).elements())
+    assert len(report.entries) == t * s > 1
+    # one decomposition per side of the formula
+    assert (len(pulled), len(pushed), len(decomposed)) == (t, s, 2)
+
+
+PROJECTION_MAPS = {
+    **builtin_maps(),
+    "north|[[1, 2]]": restrict_map(builtin_map("s2_north_inclusion"), [[1, 2]]),
+    "identity circle_trivial(1)xs2": identity_map(
+        tensor_product(circle_trivial(1), s2_rotation())
+    ),
+}
+
+
+@seed(20261020)
+@settings(max_examples=40)
+@given(st.data())
+def test_sampled_pairs_read_the_full_report(data):
+    # any subset, repeats, any order: each entry is the full report's entry
+    f = PROJECTION_MAPS[data.draw(st.sampled_from(sorted(PROJECTION_MAPS)))]
+    full = projection_formula_check(f)
+    t = len(cohomology_generic(f.target).elements())
+    s = len(cohomology_generic(f.source).elements())
+    samples = data.draw(
+        st.lists(st.tuples(st.integers(0, t - 1), st.integers(0, s - 1)), max_size=12)
+    )
+    report = projection_formula_check(f, samples=samples)
+    assert report.entries == tuple(full.entries[i * s + j] for i, j in samples)
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (2, 0), (0, 2), (5, 0)])
+def test_a_sample_outside_the_bases_is_refused(pair):
+    f = identity_map(s2_rotation())
+    with pytest.raises(ValueError, match=re.escape(f"sample {pair}")) as refused:
+        projection_formula_check(f, samples=[(0, 0), pair])
+    assert "0 <= i < 2 (target classes) and 0 <= j < 2" in str(refused.value)
+
+
 # -- one analysis per model and per map -----------------------------------------------
 
 
@@ -368,6 +451,14 @@ def test_each_model_cohomology_is_computed_once_per_call(count_calls, label):
     calls = count_calls(gcomplex._cohomology_generic)
     call()
     assert len(calls) == expected
+
+
+def test_counting_a_function_no_module_binds_fails(count_calls):
+    def unbound():
+        pass
+
+    with pytest.raises(pytest.fail.Exception, match="no equicart module binds"):
+        count_calls(unbound)
 
 
 def _six_queries(model):
