@@ -685,6 +685,12 @@ class MatrixF:
         return self.entries[i][j]
 
 
+def _is_zero(x) -> bool:
+    """x == 0 for an int, Fraction, Polynomial or RationalFunction, without
+    building the zero it would compare against."""
+    return x.is_zero if isinstance(x, (Polynomial, RationalFunction)) else x == 0
+
+
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence], zero):
     """Matrix product over any exact coefficient type that multiplies only
     nonzero entries of both factors; each entry still sums its products in
@@ -693,12 +699,12 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence], zero):
     rb, cb = len(b), len(b[0]) if b else 0
     if ca != rb:
         raise ValueError(f"shape mismatch: {ra}x{ca} times {rb}x{cb}")
-    b_rows = [[(j, y) for j, y in enumerate(row) if y != 0] for row in b]
+    b_rows = [[(j, y) for j, y in enumerate(row) if not _is_zero(y)] for row in b]
     out = []
     for row_a in a:
         row = [zero] * cb
         for k, x in enumerate(row_a):
-            if x == 0:
+            if _is_zero(x):
                 continue
             for j, y in b_rows[k]:
                 row[j] = row[j] + x * y

@@ -34,8 +34,10 @@ column read-only.  Every reader works on them:
   fraction-free coefficients from growing across blocks.
 
 At torus rank 1 the Hilbert table is periodic past the top generator
-degree (multiplication by u maps each slice onto the slice two above), so
-its cost depends on the top degree, not on the cutoff.
+degree (multiplication by u maps each slice onto the slice two above), and
+at any other rank a table that is free up to that degree is free to the
+cutoff, so in both cases its cost depends on the top degree, not on the
+cutoff.
 
 Whether a model faithfully truncates the invariant forms of an actual group
 action is the caller's assertion; the model IS the input.  The builtin
@@ -960,6 +962,16 @@ def _monomials_by_degree(torus_rank: int, top: int) -> List[List[tuple]]:
     return layer
 
 
+def _convolved(torus_rank: int, counts: Iterable[Tuple[int, int]], cutoff: int) -> List[int]:
+    """Per degree 0..cutoff, the dimension of S(t) tensor a graded space
+    given by (degree, dimension) pairs: u^e shifts degree a to a + 2|e|."""
+    table = [0] * (cutoff + 1)
+    for deg, count in counts:
+        for j in range(max(0, (1 - deg) // 2), (cutoff - deg) // 2 + 1):
+            table[deg + 2 * j] += count * _monomial_count(torus_rank, j)
+    return table
+
+
 def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> List[int]:
     """dim_Q of the degree-k equivariant cohomology for 0 <= k <= cutoff.
 
@@ -973,21 +985,36 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
     (the constant part of d_T) and of each c_i (the coefficient of u_i); a
     term of the wrong degree has no target in the next slice and is dropped.
 
-    At torus rank 1, multiplication by u maps slices k and k+1 onto slices
-    k+2 and k+3 and commutes with d_T once no generator has degree k+2 or
-    k+3, so only the slices up to the top generator degree (at least 0) are
-    eliminated and every later rank repeats the rank two slices below.
+    Only the slices up to the top generator degree T (at least 0) are
+    eliminated when that decides the rest:
+
+    - at torus rank 1, multiplication by u maps slices k and k+1 onto slices
+      k+2 and k+3 and commutes with d_T once no generator has degree k+2 or
+      k+3, so every later rank repeats the rank two slices below;
+    - at any other rank, when the table through T equals the free table
+      S(t) tensor H(C) (``predict_free_hilbert``), it is that table to the
+      cutoff, and otherwise the slices go on to the cutoff.  By the
+      homological perturbation lemma (Crainic, arXiv math/0403266), the
+      Cartan complex is homotopy equivalent to (S(t) tensor H(C), delta)
+      with every entry of delta in the ideal (u), so the table is the free
+      one less the ranks of delta into and out of each slice.  A class h of
+      degree a with delta(1 tensor h) != 0 lowers entries a and a + 1, and
+      -1 <= a <= T when no generator has a degree below -1; so a table
+      that matches through T has delta = 0.  A model with a generator of
+      degree -2 or less slices to the cutoff.
     """
-    if cutoff is None:
-        cutoff = model.default_cutoff()
+    return _hilbert_table(model, model.default_cutoff() if cutoff is None else cutoff)
+
+
+def _hilbert_table(
+    model: InvariantModel, cutoff: int, free: Optional[List[int]] = None
+) -> List[int]:
+    """``cohomology_hilbert`` at a given cutoff; ``free`` is the free table
+    to that cutoff, when the caller already has it."""
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     n, degrees = model.torus_rank, model.degrees()
-    dims = [0] * (cutoff + 2)
-    for deg in degrees:
-        for j in range(-(deg // 2) if deg < 0 else 0, (cutoff + 1 - deg) // 2 + 1):
-            dims[deg + 2 * j] += _monomial_count(n, j)
-    last = min(cutoff, max([0] + degrees)) if n == 1 else cutoff
+    dims = _convolved(n, ((deg, 1) for deg in degrees), cutoff)
     # per source generator: the terms (variable index or None for d, h, entry)
     # that land in the next slice; a generator alone in its block has none,
     # since an entry off the diagonal would join its row to the block
@@ -1000,40 +1027,60 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
                 if degrees[h] == degrees[g] + (-1 if i else 1):
                     found.append((i - 1 if i else None, h, value))
     active = [
-        [g for g in block if terms.get(g) and degrees[g] <= last]
+        [g for g in block if terms.get(g) and degrees[g] <= cutoff]
         for block in model._blocks
     ]
     blocks = [block for block in active if block]
-    top = max(((last - degrees[g]) // 2 for block in blocks for g in block), default=-1)
-    monomials = _monomials_by_degree(n, top)
-    first = -1 if degrees and min(degrees) < 0 else 0
+    if not blocks:  # d_T is zero on every slice
+        return dims
+    first = -1 if min(degrees) < 0 else 0
     ranks = [0] * (first + 1)  # ranks[k + 1]: the rank of d_T out of slice k
-    for k in range(first, last + 1):
-        rank = 0
-        for block in blocks:
-            rows = []
-            columns: Dict[tuple, int] = {}  # (exponents, h) -> column, on first sight
-            for g in block:
-                j, odd = divmod(k - degrees[g], 2)
-                if odd or j < 0:
-                    continue
-                for exps in monomials[j]:
-                    row = {}
-                    for shift, h, entry in terms[g]:
-                        target = exps
-                        if shift is not None:
-                            target = exps[:shift] + (exps[shift] + 1,) + exps[shift + 1:]
-                        row[columns.setdefault((target, h), len(columns))] = entry
-                    rows.append(row)
-            if rows:
-                rank += _echelon(rows, len(columns), None).rank
-        ranks.append(rank)
-    for k in range(last + 1, cutoff + 1):  # rank 1 only: the period
-        ranks.append(ranks[k - 1])  # the rank out of slice k - 2
-    table = [dims[k] - ranks[k + 1] - ranks[k] for k in range(cutoff + 1)]
-    if any(v < 0 for v in table):
+
+    def eliminate(last: int) -> None:
+        """Append the rank of d_T out of every slice from the next one to last."""
+        top = max((last - degrees[g]) // 2 for block in blocks for g in block)
+        monomials = _monomials_by_degree(n, top)
+        for k in range(len(ranks) - 1, last + 1):
+            rank = 0
+            for block in blocks:
+                rows = []
+                columns: Dict[tuple, int] = {}  # (exponents, h) -> column, on first sight
+                for g in block:
+                    j, odd = divmod(k - degrees[g], 2)
+                    if odd or j < 0:
+                        continue
+                    for exps in monomials[j]:
+                        row = {}
+                        for shift, h, entry in terms[g]:
+                            target = exps
+                            if shift is not None:
+                                target = exps[:shift] + (exps[shift] + 1,) + exps[shift + 1:]
+                            row[columns.setdefault((target, h), len(columns))] = entry
+                        rows.append(row)
+                if rows:
+                    rank += _echelon(rows, len(columns), None).rank
+            ranks.append(rank)
+
+    def table(last: int) -> List[int]:
+        return [dims[k] - ranks[k + 1] - ranks[k] for k in range(last + 1)]
+
+    last = min(cutoff, max([0] + degrees))
+    if n != 1 and min(degrees) < -1:
+        last = cutoff  # a class could hide below degree 0
+    eliminate(last)
+    if n == 1:
+        for k in range(last + 1, cutoff + 1):  # the period
+            ranks.append(ranks[k - 1])  # the rank out of slice k - 2
+    elif last < cutoff:
+        if free is None:
+            free = _free_table(model, cutoff)
+        if table(last) == free[: last + 1]:
+            return list(free)
+        eliminate(cutoff)
+    found = table(cutoff)
+    if any(v < 0 for v in found):
         raise AssertionError("negative Hilbert entry; model invalid")
-    return table
+    return found
 
 
 @dataclass(frozen=True)
@@ -1078,24 +1125,22 @@ def underlying_cohomology_dims(model: InvariantModel) -> List[int]:
     return dims[-low:]
 
 
+def _free_table(model: InvariantModel, cutoff: int) -> List[int]:
+    """S(t) tensor H(C) per degree 0..cutoff: h(C), from its lowest degree,
+    convolved with the Hilbert function of S(t)."""
+    low, h_c = _underlying_dims(model)
+    return _convolved(model.torus_rank, enumerate(h_c, low), cutoff)
+
+
 def predict_free_hilbert(
     model: InvariantModel, cutoff: Optional[int] = None
 ) -> FreeComparison:
-    """Convolve h(C), from its lowest degree, with the Hilbert function of
-    S(t) and compare against the actual table; a mismatch is reported as a
-    flag, never an error."""
+    """The free table S(t) tensor H(C) against the actual table; a mismatch
+    is reported as a flag, never an error."""
     if cutoff is None:
         cutoff = model.default_cutoff()
-    low, h_c = _underlying_dims(model)
-    n = model.torus_rank
-    predicted = []
-    for k in range(cutoff + 1):
-        total = 0
-        for deg in range(k, low - 1, -2):
-            if deg - low < len(h_c):
-                total += _monomial_count(n, (k - deg) // 2) * h_c[deg - low]
-        predicted.append(total)
-    actual = cohomology_hilbert(model, cutoff)
+    predicted = _free_table(model, cutoff)
+    actual = _hilbert_table(model, cutoff, predicted)
     return FreeComparison(predicted=tuple(predicted), actual=tuple(actual))
 
 

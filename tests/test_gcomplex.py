@@ -34,7 +34,7 @@ from equicart.gcomplex import (
     underlying_cohomology_dims,
     validate_model,
 )
-from equicart import algebra, gysin
+from equicart import algebra, gcomplex, gysin
 from equicart.duality import (
     NonCompactModelError,
     classify_rank1,
@@ -51,6 +51,7 @@ from equicart.models import (
     builtin_map_names,
     builtin_names,
     builtin,
+    c_alpha,
     circle_free,
     circle_trivial,
     load_model,
@@ -537,12 +538,13 @@ def test_the_free_prediction_counts_classes_in_negative_degrees(model, predicted
      builtin("obstruction_pair"), builtin("c_alpha(2)"),
      tensor_product(circle_trivial(1), s2_rotation()), _with_negative_degree(),
      tensor_product(s2_rotation(), _negative_pair(scale=0)),
-     tensor_product(_negative_pair(scale=2), circle_free())],
+     tensor_product(_negative_pair(scale=2), circle_free()), builtin("c_alpha(1,0;0,1)")],
     ids=lambda m: m.name,
 )
 def test_hilbert_table_matches_independent_enumeration(model):
-    # every cutoff up to 8 and to three times the top degree: at rank 1 the
-    # ranks past the top degree repeat, and some cutoffs equal a generator
+    # every cutoff up to 8 and to three times the top degree: past the top
+    # degree the ranks repeat at rank 1 and the table is the free one at rank
+    # 2 when it is free up to there, and some cutoffs equal a generator
     # degree, the top one included
     for cutoff in range(max(8, 3 * max(model.degrees())) + 1):
         assert cohomology_hilbert(model, cutoff) == _brute_force_hilbert(model, cutoff)
@@ -670,13 +672,8 @@ def conjugated_models(draw):
     """(model, conjugate, P): a product of two builtins (a point factor leaves
     the other one as it is), of torus rank 1 or 2 and at most 24
     generators, restricted to a torus of rank 1 or 2 along a random integer
-    matrix when the draw says so; and the same model in the basis of the
-    columns of an integer unitriangular P that mixes only generators of
-    equal degree (entries -2..2, density 1/2): d and every c_i become
-    P^-1 M P, each named cocycle P^-1 x, the integration functional
-    i'(g) = sum over h of P[h][g] i(h) on every top-degree generator, and
-    the product table as in ``_conjugated_products``; fixed points are
-    dropped."""
+    matrix when the draw says so; and its conjugate by a drawn P
+    (``_drawn_conjugate``)."""
     m = draw(st.sampled_from([1, 2]))
     names = draw(
         st.lists(st.sampled_from(BASIS_FACTORS[m]), min_size=2, max_size=2).filter(
@@ -689,6 +686,17 @@ def conjugated_models(draw):
         model = restrict_subtorus(
             model, [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(m)]
         )
+    conjugate, p = _drawn_conjugate(draw, model)
+    return model, conjugate, p
+
+
+def _drawn_conjugate(draw, model):
+    """(conjugate, P): the model in the basis of the columns of an integer
+    unitriangular P that mixes only generators of equal degree (entries
+    -2..2, density 1/2): d and every c_i become P^-1 M P, each named
+    cocycle P^-1 x, the integration functional i'(g) = sum over h of
+    P[h][g] i(h) on every top-degree generator, and the product table as in
+    ``_conjugated_products``; fixed points are dropped."""
     size, degrees = len(model.generators), model.degrees()
     p = [[Fraction(int(h == g)) for g in range(size)] for h in range(size)]
     for g in range(size):
@@ -722,7 +730,7 @@ def conjugated_models(draw):
         named_cocycles=cocycles,
         fixed_points=(),
     )
-    return model, conjugate, p
+    return conjugate, p
 
 
 def _duality_report(model):
@@ -781,6 +789,61 @@ def test_answers_do_not_depend_on_the_basis():
     # two duality reports
     assert len(mixed) == 200 and sum(mixed) >= 80 and sum(merged) >= 30
     assert ranks == {1, 2} and sum(paired) >= 60
+
+
+# the factors of the rank-2 and rank-3 law, before their restriction
+HIGHER_RANK_FACTORS = ["rema_adj", "c_alpha(1,0;0,1)", "circle_free", "s2_rotation",
+                       "circle_trivial(1)", "point(1)"]
+
+
+@st.composite
+def higher_rank_cases(draw):
+    """(model, cutoff) at torus rank 2 or 3, the cutoff 1 to 4 past the top
+    generator degree.  The model is one or two builtins, each restricted
+    along a random integer matrix, at most 18 generators (restricted
+    circle_free, rema_adj and c_alpha have tables below the free one unless
+    the weights cancel them), and when at most 9 possibly times a pair
+    e -> f in degrees 0 and 1, acyclic unless d(e) = 0; and, when the draw
+    says so, its conjugate from the change-of-basis law
+    (``_drawn_conjugate``)."""
+    n = draw(st.sampled_from([2, 3]))
+    names = draw(
+        st.lists(st.sampled_from(HIGHER_RANK_FACTORS), min_size=1, max_size=2).filter(
+            lambda names: prod(len(FACTOR_MODELS[nm].generators) for nm in names) <= 18
+        )
+    )
+    model = None
+    for name in names:
+        factor = FACTOR_MODELS[name]
+        weights = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(factor.torus_rank)]
+        factor = restrict_subtorus(factor, weights)
+        model = factor if model is None else tensor_product(model, factor)
+    if len(model.generators) <= 9 and draw(st.booleans()):
+        model = tensor_product(model, _negative_pair(n, draw(st.integers(0, 2)), 0))
+    if draw(st.integers(0, 3)) == 0:
+        model = _drawn_conjugate(draw, model)[0]
+    return model, max(model.degrees()) + draw(st.integers(1, 4))
+
+
+def test_higher_rank_tables_past_the_top_degree_match_the_enumeration():
+    # a table read from its slices up to the top degree T must equal the
+    # enumeration past T, free or not
+    free, ranks, conjugates = [], set(), []
+
+    @seed(20261024)
+    @settings(max_examples=40)
+    @given(higher_rank_cases())
+    def check(case):
+        model, cutoff = case
+        table = cohomology_hilbert(model, cutoff)
+        assert table == _brute_force_hilbert(model, cutoff)
+        free.append(predict_free_hilbert(model, cutoff).matches)
+        ranks.add(model.torus_rank)
+        conjugates.append(model.name.endswith("^P"))
+
+    check()
+    # both ranks, free and non-free tables, and conjugates are drawn
+    assert ranks == {2, 3} and 8 <= sum(free) <= len(free) - 8 and any(conjugates)
 
 
 def _dense_product(a, b):
@@ -1207,6 +1270,35 @@ def test_rank_one_hilbert_work_does_not_grow_with_the_cutoff(count_calls):
     # a model without a single term builds no elimination at all
     assert cohomology_hilbert(point(3), 20)[20] == comb(12, 2)
     assert len(calls) == 2 * built
+
+
+def test_a_free_table_past_the_top_degree_costs_no_more_slices(count_calls):
+    # free at rank 2: the slices up to the top generator degree T decide the
+    # table, so a longer cutoff eliminates nothing more
+    s2 = s2_rotation()
+    model = tensor_product(restrict_subtorus(s2, [[1, 2]]), restrict_subtorus(s2, [[2, -1]]))
+    top = max(model.degrees())
+    echelons = count_calls(gcomplex._echelon)
+    short = cohomology_hilbert(model, top + 2)
+    built = len(echelons)
+    long = cohomology_hilbert(model, 3 * top)
+    assert built and len(echelons) == 2 * built
+    # Q[u_1, u_2] tensor H(S^2 x S^2): 1, then 2k in every even degree k > 0
+    assert long[: top + 3] == short and long == [1] + [2 * k * (k % 2 == 0) for k in range(1, 13)]
+    # a model without a single term builds nothing and needs no H(C)
+    underlying = count_calls(gcomplex._underlying_dims)
+    assert cohomology_hilbert(point(3), 20)[20] == comb(12, 2)
+    assert len(echelons) == 2 * built and not underlying
+
+
+def test_the_identity_c_alpha_of_rank_five_is_polynomial_from_degree_ten():
+    # 3^5 generators at the default cutoff, free: Q[u_1..u_5] shifted to
+    # degree 10
+    model = c_alpha([[int(i == j) for j in range(5)] for i in range(5)])
+    cutoff = model.default_cutoff()
+    assert cohomology_hilbert(model) == [
+        comb(4 + (k - 10) // 2, 4) if k >= 10 and k % 2 == 0 else 0 for k in range(cutoff + 1)
+    ]
 
 
 def test_a_named_cocycle_across_two_components_names_its_class():

@@ -394,6 +394,32 @@ def test_the_projection_formula_maps_each_class_once(count_calls, label):
     assert (len(pulled), len(pushed), len(decomposed)) == (t, s, 2)
 
 
+GYSIN_CONSTANTS = {
+    "s2_identity": (lambda: builtin_map("s2_identity"), 4),
+    "identity circle_trivial(1)xs2": (
+        lambda: identity_map(tensor_product(circle_trivial(1), s2_rotation())), 26
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GYSIN_CONSTANTS))
+def test_the_gysin_products_test_zeros_without_building_one(monkeypatch, label):
+    # the product of the Gysin solve skips zero entries by their own test;
+    # comparing with 0 would build a constant per entry
+    build, expected = GYSIN_CONSTANTS[label]
+    f = build()
+    calls = []
+    constant = RationalFunction.constant.__func__
+
+    def counted(cls, *args):
+        calls.append(args)
+        return constant(cls, *args)
+
+    monkeypatch.setattr(RationalFunction, "constant", classmethod(counted))
+    gysin_localized(f)
+    assert len(calls) == expected
+
+
 PROJECTION_MAPS = {
     **builtin_maps(),
     "north|[[1, 2]]": restrict_map(builtin_map("s2_north_inclusion"), [[1, 2]]),
