@@ -13,8 +13,8 @@ c_i or a pullback as an int, so the rows read from it are integer rows.  All
 exact linear algebra (ranks, solutions for many right-hand sides, kernels,
 determinants) goes through one sparse, row-incremental, fraction-free
 (Bareiss) echelon core, ``Echelon``, over Z or Z[u_1..u_n], which takes an
-all-int row over Z as it is and into which rows over Q, Q[u] and its
-fraction field are cleared;
+all-int row over Z as it is, clears rows over Q, Q[u] and its fraction field
+into it, and back-substitutes in it;
 ``rank_rational``, ``solve_rational``, ``rank_and_solve`` and ``determinant``
 are entry points over it, and the rank-1 persistence pairing of
 ``duality._graded_pairs`` reads its pivot columns.  The one other
@@ -431,6 +431,9 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
     if b.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     a._check_rank(b)
+    if b.is_constant:
+        ((_, c),) = b._num.items()
+        return _rescale(a, b._den, c)
     divisor, den = b._num, a._den
     lead_e = max(divisor)
     g = gcd(*divisor.values())
@@ -452,6 +455,14 @@ def poly_exact_div(a: Polynomial, b: Polynomial) -> Polynomial:
             else:
                 del rest[key]
     return _poly(a.torus_rank, *_reduced({e: c * b._den for e, c in quotient.items()}, den))
+
+
+def _quotient(y: Polynomial, d: Polynomial) -> "RationalFunction":
+    """y / d, a polynomial when d divides y."""
+    try:
+        return _rational(poly_exact_div(y, d))
+    except ValueError:
+        return RationalFunction(y, d)
 
 
 def _field_op(method):
@@ -737,8 +748,12 @@ class Echelon:
     ``row <- (p_k * row - row[c_k] * pivot_row_k) / p`` exact (Sylvester's
     identity), with p the pivot of the last step that touched the row: a
     step that does not touch a row leaves it as it is, and a new pivot row
-    takes the scale of the steps since then.  Back substitution uses each
-    pivot row as reduced, before that scale, whose entries are smaller.
+    takes the scale of the steps since then, at which it is stored.  Back
+    substitution stays in the ring (Bareiss 1968; Nakos, Turner and Williams
+    1997): the newest pivot D is the minor of the pivot rows on the pivot
+    columns, so by Cramer's rule D times a solution, or times a kernel vector
+    with free variable 1, is over the ring, and every step divides exactly;
+    each entry is divided by D once, at the end.
     """
 
     def __init__(self, ncols: int, torus_rank: Optional[int] = None, nrhs: int = 0):
@@ -748,8 +763,7 @@ class Echelon:
         else:
             self._zero, self._one = Polynomial.zero(torus_rank), Polynomial.one(torus_rank)
             self._div = poly_exact_div
-        self._field_zero = self._field(self._zero)
-        self._pivots: list = []  # (pivot column, row, row as reduced), in order
+        self._pivots: list = []  # (pivot column, row), in order
         self._last = self._one  # pivot of the newest pivot row
         self._cleared = self._one  # product of the scales that cleared rows
         self._inconsistent: set = set()  # right-hand sides a dependent row kept
@@ -771,7 +785,7 @@ class Echelon:
         v = self._entries(row)
         zero, div, one = self._zero, self._div, self._one
         prev = one  # a division by it is skipped
-        for col, pivot_row, _ in self._pivots:
+        for col, pivot_row in self._pivots:
             head = v.pop(col, None)
             if head is None:
                 continue
@@ -790,11 +804,10 @@ class Echelon:
         if lead is None:
             self._inconsistent.update(v)
             return False
-        scaled = v
         if prev is not self._last:
-            scaled = {j: div(x * self._last, prev) for j, x in v.items()}
-        self._pivots.append((lead, scaled, v))
-        self._last = scaled[lead]
+            v = {j: div(x * self._last, prev) for j, x in v.items()}
+        self._pivots.append((lead, v))
+        self._last = v[lead]
         return True
 
     def _entries(self, row) -> dict:
@@ -839,23 +852,26 @@ class Echelon:
             out = {j: _rescale(x, common, 1) for j, x in out.items()}
         return out
 
-    def _field(self, x):
-        return Fraction(x) if self.torus_rank is None else _rational(x, self._one)
-
-    def _back_substitute(self, x: dict, rhs: Optional[int]) -> tuple:
-        """Complete x, which holds the free variables, so that every pivot
-        row holds with right-hand-side column ``rhs`` (None: zero).  A pivot
-        row is zero on the pivot columns of the rows added before it, so the
-        newest row goes first."""
-        for col, _, row in reversed(self._pivots):
-            known = [j for j in row if j in x]
-            if rhs not in row and not known:
-                continue  # this variable is zero
-            acc = self._field(row[rhs]) if rhs in row else self._field_zero
-            for j in known:
-                acc = acc - self._field(row[j]) * x[j]
-            x[col] = acc / self._field(row[col])
-        return tuple(x.get(j, self._field_zero) for j in range(self.ncols))
+    def _back_substitute(self, y: dict, rhs: Optional[int]) -> tuple:
+        """x = y / D for the pivot rows with right-hand-side column ``rhs``
+        (None: zero), y holding D times the free variables: y_c = (D*b -
+        sum row[j]*y_j) / row[c], newest row first, as a pivot row is zero on
+        the pivot columns of the rows added before it.  The newest row's
+        pivot is D itself, so there y_c = b - sum / D, with no product."""
+        d, zero, div = self._last, self._zero, self._div
+        for col, row in reversed(self._pivots):
+            acc = zero  # minus the sum over the known variables
+            for j in row.keys() & y.keys():
+                acc = acc - row[j] * y[j]
+            if row[col] is d:
+                acc = div(acc, d) if rhs not in row else row[rhs] + div(acc, d)
+            else:
+                acc = div(acc if rhs not in row else d * row[rhs] + acc, row[col])
+            if acc != zero:
+                y[col] = acc
+        if self.torus_rank is None:
+            return tuple(Fraction(y.get(j, 0), d) for j in range(self.ncols))
+        return tuple(_quotient(y[j], d) if j in y else _rational(zero) for j in range(self.ncols))
 
     def solve(self) -> list:
         """Per right-hand side b, the solution of M x = b whose free variables
@@ -871,7 +887,7 @@ class Echelon:
         the other free variables 0."""
         pivot_cols = set(self.pivots)
         return [
-            self._back_substitute({free: self._field(self._one)}, None)
+            self._back_substitute({free: self._last}, None)
             for free in range(self.ncols)
             if free not in pivot_cols
         ]
@@ -880,11 +896,11 @@ class Echelon:
         """Determinant of the square matrix made of the added rows."""
         if self._rows_added != self.ncols:
             raise ValueError("determinant requires a square matrix")
-        if self.rank < self.ncols:
-            return self._field_zero
-        cols = self.pivots
-        inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-        value = self._last if inversions % 2 == 0 else -self._last
+        value = self._zero
+        if self.rank == self.ncols:
+            cols = self.pivots
+            inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+            value = self._last if inversions % 2 == 0 else -self._last
         return (Fraction if self.torus_rank is None else RationalFunction)(value, self._cleared)
 
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from math import comb, lcm
 from types import MappingProxyType
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -806,32 +806,11 @@ class GenericCohomology:
         return [el for _, el in self.representatives]
 
 
-def _vector_of(element_terms: Mapping[int, Coefficient], indices: Sequence[int], n: int):
-    return [
-        RationalFunction.coerce(element_terms.get(i, Polynomial.zero(n)), n)
-        for i in indices
-    ]
-
-
 def _echelon(rows, width: int, torus_rank: Optional[int]) -> Echelon:
     echelon = Echelon(width, torus_rank)
     for row in rows:
         echelon.add_row(row)
     return echelon
-
-
-def _independent_mod_image(
-    image: Echelon, candidates: Sequence[Sequence[Coefficient]], want: int
-) -> List[int]:
-    """Indices of candidates that extend the image span, greedily; the
-    chosen candidates are added to ``image``."""
-    chosen: List[int] = []
-    for idx, cand in enumerate(candidates):
-        if image.add_row(cand):
-            chosen.append(idx)
-        if len(chosen) == want:
-            break
-    return chosen
 
 
 @dataclass
@@ -901,7 +880,7 @@ def _cohomology_generic(model: InvariantModel) -> GenericCohomology:
                 # the zero cocycle extends none
                 b = block_of[next(iter(raw))] if raw else None
                 if b is None or not parts[b][p].image.add_row(
-                    _vector_of(raw, parts[b][p].indices, n)
+                    {k: raw[g] for k, g in enumerate(parts[b][p].indices) if g in raw}
                 ):
                     break
                 extended.add((b, p))
@@ -925,8 +904,9 @@ def _cohomology_generic(model: InvariantModel) -> GenericCohomology:
             kernel = _echelon(
                 _transposed(part.outgoing, len(other.indices)), len(part.indices), n
             ).kernel()
-            for idx in _independent_mod_image(part.image, kernel, part.rank):
-                vector = kernel[idx]
+            # greedily, the kernel vectors that extend the image
+            independent = (vector for vector in kernel if part.image.add_row(vector))
+            for vector in islice(independent, part.rank):
                 # the free variable is 1 and every pivot variable after it
                 # is 0, so the free column is the last nonzero entry
                 free = max(k for k, x in enumerate(vector) if not x.is_zero)

@@ -301,8 +301,8 @@ def decompose_many(
         echelon = Echelon(width, n, nrhs=len(positions))
         # last generator first: a computed representative has coefficient 1
         # at the last generator of its support (its kernel vector's free
-        # variable), so that row becomes its pivot and back substitution
-        # divides by a constant, not through a polynomial gcd
+        # variable), so that row becomes its pivot and the newest pivot D,
+        # the one divisor of back substitution, stays a constant
         for h in reversed(rows):
             echelon.add_row(
                 {col: column[h] for col, column in enumerate(columns) if h in column}

@@ -1,7 +1,7 @@
 """The exact echelon core against sympy, an independent implementation.
 
 On seeded, generated sparse matrices over Q and over Q(u) at torus ranks 1
-and 2: the rank, the pivot columns and the rank growth row by row, the
+to 3: the rank, the pivot columns and the rank growth row by row, the
 reduced-echelon particular solution and nullspace basis, and the Berkowitz
 determinant.  And the same rows over Q given as ints and as Fractions, which
 the core takes as they are and clears, against each other.
@@ -21,7 +21,7 @@ from equicart.algebra import Echelon, Polynomial, RationalFunction
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-U = sympy.symbols("u1 u2")
+U = sympy.symbols("u1 u2 u3")
 
 
 def to_sympy(x):
@@ -156,7 +156,7 @@ def ring_elements(draw, torus_rank):
     return p
 
 
-@pytest.mark.parametrize("torus_rank", [1, 2])
+@pytest.mark.parametrize("torus_rank", [1, 2, 3])
 def test_echelon_over_polynomials_matches_sympy(torus_rank):
     domain = sympy.QQ.frac_field(*U[:torus_rank])
 
