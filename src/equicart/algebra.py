@@ -10,14 +10,13 @@ coefficients over one positive denominator, and Fraction appears only at the
 boundary (constructor input, the read-only ``Polynomial.terms`` view, printed
 output and returned solutions).  A model stores an integral entry of d, a
 c_i or a pullback as an int, so the rows read from it are integer rows.  All
-exact linear algebra (ranks, solutions for many right-hand sides, kernels,
-determinants) goes through one sparse, row-incremental, fraction-free
-(Bareiss) echelon core, ``Echelon``, over Z or Z[u_1..u_n], which takes an
-all-int row over Z as it is, clears rows over Q, Q[u] and its fraction field
-into it, and back-substitutes in it;
-``rank_rational``, ``solve_rational``, ``rank_and_solve`` and ``determinant``
-are entry points over it, and the rank-1 persistence pairing of
-``duality._graded_pairs`` reads its pivot columns.  The one other
+exact linear algebra (ranks, solutions for many right-hand sides, kernels)
+goes through one sparse, row-incremental, fraction-free (Bareiss) echelon
+core, ``Echelon``, over Z or Z[u_1..u_n], which takes an all-int row over Z
+as it is, clears rows over Q, Q[u] and its fraction field into it, and
+back-substitutes in it; ``rank_rational``, ``solve_rational`` and
+``rank_and_solve`` are entry points over it, and the rank-1 persistence
+pairing of ``duality._graded_pairs`` reads its pivot columns.  The one other
 elimination is the Smith normal form.  ``generic_specialized_rank``, a rank at
 seeded random points, holds only with high probability; no command uses it.
 """
@@ -734,7 +733,7 @@ class Echelon:
     all-int row over Z is taken as it is; any other row is cleared into that
     domain by the lcm of its Fraction denominators, or by
     the product of its distinct RationalFunction denominators and then the
-    lcm of its coefficient denominators; ``det`` divides the scales back out.
+    lcm of its coefficient denominators.
 
     Rows are dicts column -> nonzero entry.  Columns ``0..ncols-1`` are the
     matrix; the ``nrhs`` columns after them are right-hand sides, which
@@ -765,9 +764,7 @@ class Echelon:
             self._div = poly_exact_div
         self._pivots: list = []  # (pivot column, row), in order
         self._last = self._one  # pivot of the newest pivot row
-        self._cleared = self._one  # product of the scales that cleared rows
         self._inconsistent: set = set()  # right-hand sides a dependent row kept
-        self._rows_added = 0
 
     @property
     def rank(self) -> int:
@@ -781,7 +778,6 @@ class Echelon:
     def add_row(self, row) -> bool:
         """Reduce a row (dict or sequence of width ncols + nrhs) against the
         pivot rows; True when it extends the span and becomes a pivot row."""
-        self._rows_added += 1
         v = self._entries(row)
         zero, div, one = self._zero, self._div, self._one
         prev = one  # a division by it is skipped
@@ -819,8 +815,6 @@ class Echelon:
                 return out  # integer already: nothing to clear
             out = {j: x if type(x) is int else _as_fraction(x) for j, x in out.items()}
             common = lcm(*[x.denominator for x in out.values()])
-            if common > 1:
-                self._cleared *= common
             return {j: x.numerator * (common // x.denominator) for j, x in out.items()}
         out = {}
         denominators: dict = {}  # distinct, in order of appearance
@@ -839,7 +833,6 @@ class Echelon:
             scale = self._one
             for d in denominators:
                 scale = scale * d
-            self._cleared = self._cleared * scale
             out = {
                 j: x.numerator * poly_exact_div(scale, x.denominator)
                 if isinstance(x, RationalFunction) else x * scale
@@ -848,7 +841,6 @@ class Echelon:
         # then to integer coefficients, the natural domain of Bareiss
         common = lcm(*[x._den for x in out.values()])
         if common > 1:
-            self._cleared = self._cleared * common
             out = {j: _rescale(x, common, 1) for j, x in out.items()}
         return out
 
@@ -891,17 +883,6 @@ class Echelon:
             for free in range(self.ncols)
             if free not in pivot_cols
         ]
-
-    def det(self):
-        """Determinant of the square matrix made of the added rows."""
-        if self._rows_added != self.ncols:
-            raise ValueError("determinant requires a square matrix")
-        value = self._zero
-        if self.rank == self.ncols:
-            cols = self.pivots
-            inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
-            value = self._last if inversions % 2 == 0 else -self._last
-        return (Fraction if self.torus_rank is None else RationalFunction)(value, self._cleared)
 
 
 def rank_rational(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -973,19 +954,6 @@ def rank_and_solve(
         solution=solution,
         kernel=tuple(echelon.kernel()),
     )
-
-
-def determinant(matrix: Sequence[Sequence], torus_rank: Optional[int] = None):
-    """Exact determinant over the fraction field (square input)."""
-    n_rows = len(matrix)
-    if any(len(r) != n_rows for r in matrix):
-        raise ValueError("determinant requires a square matrix")
-    if torus_rank is None:
-        torus_rank = _entry_rank(e for row in matrix for e in row) or 0
-    echelon = Echelon(n_rows, torus_rank)
-    for row in matrix:
-        echelon.add_row(row)
-    return echelon.det()
 
 
 # -- specialization ----------------------------------------------------------

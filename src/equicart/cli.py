@@ -501,6 +501,8 @@ def _cmd_lefschetz(args) -> Tuple[int, dict]:
             dims = [int(x) for x in args.dims.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad --dims: {exc}") from exc
+        if any(d < 0 for d in dims):
+            raise UsageError("dimensions must be >= 0")
         source = args.dims
     elif args.model is not None:
         model = models.resolve_model(args.model)

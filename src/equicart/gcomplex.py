@@ -983,14 +983,8 @@ def cohomology_hilbert(model: InvariantModel, cutoff: Optional[int] = None) -> L
       that matches through T has delta = 0.  A model with a generator of
       degree -2 or less slices to the cutoff.
     """
-    return _hilbert_table(model, model.default_cutoff() if cutoff is None else cutoff)
-
-
-def _hilbert_table(
-    model: InvariantModel, cutoff: int, free: Optional[List[int]] = None
-) -> List[int]:
-    """``cohomology_hilbert`` at a given cutoff; ``free`` is the free table
-    to that cutoff, when the caller already has it."""
+    if cutoff is None:
+        cutoff = model.default_cutoff()
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     n, degrees = model.torus_rank, model.degrees()
@@ -1052,10 +1046,9 @@ def _hilbert_table(
         for k in range(last + 1, cutoff + 1):  # the period
             ranks.append(ranks[k - 1])  # the rank out of slice k - 2
     elif last < cutoff:
-        if free is None:
-            free = _free_table(model, cutoff)
+        free = _free_table(model, cutoff)
         if table(last) == free[: last + 1]:
-            return list(free)
+            return free
         eliminate(cutoff)
     found = table(cutoff)
     if any(v < 0 for v in found):
@@ -1119,9 +1112,10 @@ def predict_free_hilbert(
     is reported as a flag, never an error."""
     if cutoff is None:
         cutoff = model.default_cutoff()
-    predicted = _free_table(model, cutoff)
-    actual = _hilbert_table(model, cutoff, predicted)
-    return FreeComparison(predicted=tuple(predicted), actual=tuple(actual))
+    return FreeComparison(
+        predicted=tuple(_free_table(model, cutoff)),
+        actual=tuple(cohomology_hilbert(model, cutoff)),
+    )
 
 
 def scale_contractions(model: InvariantModel, factor: Fraction) -> InvariantModel:

@@ -738,15 +738,12 @@ def restrict_subtorus(
         new_contractions.append(columns)
 
     images = _substitution_images(a, r)
-    named = {
-        name: {
-            idx: coeff.substitute(images)
-            for idx, coeff in raw.items()
-            if not coeff.substitute(images).is_zero
-        }
-        for name, raw in model.named_cocycles.items()
-    }
-    named = {name: raw for name, raw in named.items() if raw}
+    named = {}
+    for name, raw in model.named_cocycles.items():
+        restricted = {idx: coeff.substitute(images) for idx, coeff in raw.items()}
+        restricted = {idx: value for idx, value in restricted.items() if not value.is_zero}
+        if restricted:
+            named[name] = restricted
 
     points = []
     for p in model.fixed_points:

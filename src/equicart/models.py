@@ -240,23 +240,15 @@ def _weight_block(weight: Weight) -> InvariantModel:
     normalized invariant volume form supported where h = 1.  Contractions:
     c_i(v) = -weight_i * dh.  The product table records h*h = h and h*v = v,
     the relations that hold on the support of v for this truncation.
+    ``c_alpha`` supplies the fixed point, the Thom cocycle and the notes of
+    the product of its blocks.
     """
-    n = weight.torus_rank
-    c_list = []
-    for i in range(n):
-        c_list.append(_columns(3, {(1, 2): -weight.coeffs[i]}))
-    origin = FixedPointDatum(
-        name="origin",
-        tangent=LinearRepresentation(n, 0, ((weight, 1),)),
-        evaluations={"h": Fraction(1)},
-        restrictions={"thom": weight.linear_form()},
-    )
     return InvariantModel(
         name=f"c_alpha({','.join(str(c) for c in weight.coeffs)})",
-        torus_rank=n,
+        torus_rank=weight.torus_rank,
         generators=(Generator("h", 0), Generator("dh", 1), Generator("v", 2)),
         d=_columns(3, {(1, 0): 1}),
-        contractions=tuple(c_list),
+        contractions=tuple(_columns(3, {(1, 2): -c}) for c in weight.coeffs),
         top_degree=2,
         compact=True,
         integration={2: Fraction(1)},
@@ -267,11 +259,6 @@ def _weight_block(weight: Weight) -> InvariantModel:
             (1, 2): {},
             (2, 2): {},
         },
-        fixed_points=(origin,),
-        named_cocycles={
-            "thom": {2: Polynomial.one(n), 0: weight.linear_form()}
-        },
-        notes=("one weighted plane with compact supports",),
     )
 
 

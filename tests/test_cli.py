@@ -113,6 +113,8 @@ REFUSED_INPUTS = [
     (["thom", "--model", "builtin:s2_rotation", "--top", "t"], "phi_top is not d-closed"),
     (["cohomology", "--model", "builtin:point(-1)"],
      "bad arguments in 'point(-1)': torus_rank must be >= 0"),
+    (["lefschetz", "--dims=-1,2"], "dimensions must be >= 0"),
+    (["lefschetz", "--dims=1,0,-1"], "dimensions must be >= 0"),
 ]
 
 

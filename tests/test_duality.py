@@ -15,7 +15,6 @@ from equicart.algebra import (
     RationalFunction,
     UnsupportedRankError,
     invariant_factors,
-    rank_rational,
 )
 from equicart.duality import (
     DecompositionError,
@@ -556,7 +555,10 @@ def _cokernel_dims(p, cutoff):
                     if twice_m >= 0 and twice_m % 2 == 0:
                         row[basis[i, e + twice_m // 2]] = c
             rows.append(row)
-        dims.append(len(basis) - (rank_rational(rows) if rows and basis else 0))
+        echelon = Echelon(len(basis))
+        for row in rows:
+            echelon.add_row(row)
+        dims.append(len(basis) - echelon.rank)
     return dims
 
 

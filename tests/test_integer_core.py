@@ -205,10 +205,3 @@ def test_echelon_over_q_returns_fractions_equal_to_sympy_rref(data):
             want[col] = Fraction(int(reduced[i, ncols].p), int(reduced[i, ncols].q))
         assert all(type(x) is Fraction for x in solution)
         assert list(solution) == want
-    if nrows == ncols:
-        square = Echelon(ncols)
-        for row in rows:
-            square.add_row(row[:ncols])
-        det = sympy.Matrix([row[:ncols] for row in rows]).det()
-        assert type(square.det()) is Fraction
-        assert square.det() == Fraction(int(det.p), int(det.q))
